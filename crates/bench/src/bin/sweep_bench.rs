@@ -510,7 +510,7 @@ fn run_large(n: usize) -> (f64, String) {
         "sweep_bench[large]: cached arm — {} reference sources...",
         cached_sources.len()
     );
-    let scope = CacheScope::unbounded();
+    let scope = CacheScope::eager();
     let started = Instant::now();
     let routes = scope.cache(topo, costs);
     for &src in &cached_sources {

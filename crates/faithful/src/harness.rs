@@ -1,5 +1,5 @@
 //! The faithful-mechanism run engine: configuration + one-shot run
-//! functions, plus the deprecated [`FaithfulSim`] adapter.
+//! functions.
 //!
 //! [`FaithfulConfig`] is the plain-data description of one faithful-FPSS
 //! instance; [`run_faithful`] assembles the topology nodes plus the bank,
@@ -75,9 +75,9 @@ pub struct FaithfulConfig {
     /// Secret the bank derives per-node channel keys from.
     pub bank_secret: Vec<u8>,
     /// Route-cache registry the harness's centralized reference check
-    /// draws from. Defaults to the process-shared registry
-    /// ([`CacheScope::global`]); run/sweep engines thread a scope of
-    /// their own so the caches die with the workload.
+    /// draws from. Defaults to a fresh [`CacheScope::eager`] owned by
+    /// this configuration (and shared by its clones); sweep engines
+    /// thread a scope of their own so the caches die with the workload.
     pub routes: CacheScope,
     /// Scope of the post-green-light reference comparison.
     pub reference_check: ReferenceCheck,
@@ -106,7 +106,7 @@ impl FaithfulConfig {
             dynamics: Dynamics::new(),
             max_events: 10_000_000,
             bank_secret: b"specfaith-bank-secret".to_vec(),
-            routes: CacheScope::global(),
+            routes: CacheScope::eager(),
             reference_check: ReferenceCheck::Full,
         }
     }
@@ -315,8 +315,8 @@ fn harvest(
                 &expected_pricing,
             )
         });
-        // Eager scopes (sweeps) drop this cell's cache here; no-op
-        // elsewhere.
+        // A single-use per-cell cache is dropped here instead of
+        // lingering to sweep end.
         config.routes.release(&routes);
         Some(ok)
     } else {
@@ -588,97 +588,6 @@ pub fn equilibrium_report(config: &FaithfulConfig, seed: u64) -> EquilibriumRepo
     })
 }
 
-/// Deprecated builder over [`FaithfulConfig`] + [`run_faithful`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `specfaith::scenario::Scenario::builder()` with `Mechanism::Faithful` (or drive `FaithfulConfig`/`run_faithful` directly)"
-)]
-#[derive(Clone, Debug)]
-pub struct FaithfulSim {
-    config: FaithfulConfig,
-}
-
-#[allow(deprecated)]
-impl FaithfulSim {
-    /// A simulation over a biconnected topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology is not biconnected or arities mismatch.
-    pub fn new(topo: Topology, true_costs: CostVector, traffic: TrafficMatrix) -> Self {
-        FaithfulSim {
-            config: FaithfulConfig::new(topo, true_costs, traffic),
-        }
-    }
-
-    /// Overrides the settlement config (per-packet value `W`).
-    #[must_use]
-    pub fn with_settlement(mut self, settlement: SettlementConfig) -> Self {
-        self.config.settlement = settlement;
-        self
-    }
-
-    /// Overrides the progress value `V`.
-    #[must_use]
-    pub fn with_progress_value(mut self, value: Money) -> Self {
-        self.config.progress_value = value;
-        self
-    }
-
-    /// Overrides the restart budget.
-    #[must_use]
-    pub fn with_max_restarts(mut self, max_restarts: u32) -> Self {
-        self.config.max_restarts = max_restarts;
-        self
-    }
-
-    /// Overrides the event budget.
-    #[must_use]
-    pub fn with_max_events(mut self, max_events: u64) -> Self {
-        self.config.max_events = max_events;
-        self
-    }
-
-    /// The topology.
-    pub fn topology(&self) -> &Topology {
-        &self.config.topo
-    }
-
-    /// Runs with everyone faithful.
-    pub fn run_faithful(&self, seed: u64) -> FaithfulRunResult {
-        run_faithful_honest(&self.config, seed)
-    }
-
-    /// Runs with `deviant` playing `strategy`, everyone else faithful.
-    pub fn run_with_deviant(
-        &self,
-        deviant: NodeId,
-        strategy: Box<dyn RationalStrategy>,
-        seed: u64,
-    ) -> FaithfulRunResult {
-        run_faithful_with_deviant(&self.config, deviant, strategy, seed)
-    }
-
-    /// Runs with an arbitrary strategy assignment.
-    pub fn run_with(
-        &self,
-        strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
-        seed: u64,
-    ) -> FaithfulRunResult {
-        run_faithful(&self.config, strategies, seed)
-    }
-
-    /// The deviation specs of the standard catalog (tagged with phases).
-    pub fn catalog_specs(&self) -> Vec<DeviationSpec> {
-        standard_catalog_specs()
-    }
-
-    /// The serial Theorem-1 sweep on this instance.
-    pub fn equilibrium_report(&self, seed: u64) -> EquilibriumReport {
-        equilibrium_report(&self.config, seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,7 +595,7 @@ mod tests {
         DeflateOwnPricing, DropCheckerForwards, DropTransitPackets, SpoofShortRoutes,
         UnderreportPayments,
     };
-    use specfaith_fpss::pricing::expected_tables;
+    use specfaith_fpss::pricing::{expected_tables_in, vcg_payment_in};
     use specfaith_fpss::traffic::Flow;
     use specfaith_graph::generators::figure1;
 
@@ -741,13 +650,13 @@ mod tests {
         // Re-run manually to inspect node state.
         let run = run_faithful_honest(&config, 1);
         assert!(run.green_lighted);
-        let reference = expected_tables(&net.topology, &net.costs);
+        let routes =
+            specfaith_graph::cache::RouteCache::new(net.topology.clone(), net.costs.clone());
+        let reference = expected_tables_in(&routes);
         // The faithful run's tables are checked indirectly by the bank
         // (hash equality across principal and checkers); sanity-check one
         // payment figure: X pays C p^C per packet, 5 packets.
-        let p_c =
-            specfaith_fpss::pricing::vcg_payment(&net.topology, &net.costs, net.x, net.z, net.c)
-                .expect("C on X→Z LCP");
+        let p_c = vcg_payment_in(&routes, net.x, net.z, net.c).expect("C on X→Z LCP");
         let _ = reference;
         assert!(p_c.is_positive());
     }
@@ -842,22 +751,22 @@ mod tests {
     }
 
     #[test]
-    fn scoped_runs_are_byte_identical_to_the_global_registry_path() {
-        // The tentpole pin (faithful engine): run-scoped route caches
-        // change nothing observable about a faithful run.
+    fn reused_and_fresh_scopes_are_byte_identical() {
+        // Scope choice changes no result (faithful engine): runs sharing
+        // one scope across seeds match runs each given a fresh scope.
         let (net, config) = figure1_config();
-        let mut scoped_config = config.clone();
-        scoped_config.routes = specfaith_graph::cache::CacheScope::unbounded();
         for seed in [1u64, 4] {
-            let global = run_faithful_honest(&config, seed);
-            let scoped = run_faithful_honest(&scoped_config, seed);
-            assert_eq!(global.utilities, scoped.utilities, "seed {seed}");
-            assert_eq!(global.penalties, scoped.penalties, "seed {seed}");
+            let mut fresh_config = config.clone();
+            fresh_config.routes = CacheScope::eager();
+            let reused = run_faithful_honest(&config, seed);
+            let fresh = run_faithful_honest(&fresh_config, seed);
+            assert_eq!(reused.utilities, fresh.utilities, "seed {seed}");
+            assert_eq!(reused.penalties, fresh.penalties, "seed {seed}");
             assert_eq!(
-                global.tables_match_centralized, scoped.tables_match_centralized,
+                reused.tables_match_centralized, fresh.tables_match_centralized,
                 "seed {seed}"
             );
-            assert_eq!(global.stats.total_msgs(), scoped.stats.total_msgs());
+            assert_eq!(reused.stats.total_msgs(), fresh.stats.total_msgs());
             let dg = run_faithful_with_deviant(
                 &config,
                 net.x,
@@ -865,7 +774,7 @@ mod tests {
                 seed,
             );
             let ds = run_faithful_with_deviant(
-                &scoped_config,
+                &fresh_config,
                 net.x,
                 Box::new(UnderreportPayments { keep_percent: 10 }),
                 seed,
@@ -1024,21 +933,5 @@ mod tests {
         assert!(state.green_lighted());
         let result = state.finish();
         assert!(result.green_lighted);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_adapter_matches_engine() {
-        let (_, config) = figure1_config();
-        let adapter = FaithfulSim::new(
-            config.topo.clone(),
-            config.true_costs.clone(),
-            config.traffic.clone(),
-        );
-        let via_adapter = adapter.run_faithful(1);
-        let via_engine = run_faithful_honest(&config, 1);
-        assert_eq!(via_adapter.utilities, via_engine.utilities);
-        assert_eq!(via_adapter.restarts, via_engine.restarts);
-        assert_eq!(via_adapter.green_lighted, via_engine.green_lighted);
     }
 }

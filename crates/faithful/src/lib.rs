@@ -68,8 +68,6 @@ pub mod node;
 pub mod penalty;
 
 pub use bank::BankNode;
-#[allow(deprecated)]
-pub use harness::FaithfulSim;
 pub use harness::{run_faithful, run_faithful_honest, run_faithful_with_deviant};
 pub use harness::{FaithfulConfig, FaithfulRunResult};
 pub use node::FaithfulNode;

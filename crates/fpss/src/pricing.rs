@@ -22,10 +22,10 @@ use specfaith_graph::topology::Topology;
 /// not a transit node on the `src`→`dst` LCP (no payment due), or when
 /// `src` cannot reach `dst`.
 ///
-/// This is the primary implementation: both the `src` tree and the
-/// `(src, k)` avoid tree are computed at most once per [`RouteCache`],
-/// shared across every destination and every caller of the cache. The
-/// avoid tree itself is no longer a fresh `d_{G−k}` Dijkstra: the cache
+/// Both the `src` tree and the `(src, k)` avoid tree are computed at most
+/// once per [`RouteCache`], shared across every destination and every
+/// caller of the cache. The avoid tree itself is no longer a fresh
+/// `d_{G−k}` Dijkstra: the cache
 /// repairs it from its own `src` tree (re-relaxing only the subtree
 /// detached by removing `k` — see [`specfaith_graph::repair`]), which is
 /// exactly equivalent and pinned so by the repair-equivalence suite.
@@ -66,33 +66,6 @@ fn payment_from_tree(
     let d = best.cost().value() as i64;
     let d_avoid = detour.cost().value() as i64;
     Money::new(c_k + d_avoid - d)
-}
-
-/// [`vcg_payment_in`] against `scope`'s [`RouteCache`] for
-/// `(topo, declared)` — repeated calls under the same declared costs
-/// share all Dijkstra work with every other user of the scope.
-pub fn vcg_payment_scoped(
-    scope: &CacheScope,
-    topo: &Topology,
-    declared: &CostVector,
-    src: NodeId,
-    dst: NodeId,
-    k: NodeId,
-) -> Option<Money> {
-    vcg_payment_in(&scope.cache(topo, declared), src, dst, k)
-}
-
-/// [`vcg_payment_in`] against the process-shared [`RouteCache`] for
-/// `(topo, declared)` — the compatibility default for callers with no
-/// [`CacheScope`] of their own.
-pub fn vcg_payment(
-    topo: &Topology,
-    declared: &CostVector,
-    src: NodeId,
-    dst: NodeId,
-    k: NodeId,
-) -> Option<Money> {
-    vcg_payment_scoped(&CacheScope::global(), topo, declared, src, dst, k)
 }
 
 /// The routing and pricing tables node `src` *should* converge to under
@@ -143,28 +116,6 @@ pub fn expected_tables_in(routes: &RouteCache) -> Vec<(RoutingTable, PricingTabl
         .collect()
 }
 
-/// [`expected_tables_in`] against `scope`'s [`RouteCache`] for
-/// `(topo, declared)` — run engines pass their run-scoped cache registry
-/// here so every cell of a sweep shares (and then releases) the reference
-/// Dijkstra work.
-pub fn expected_tables_scoped(
-    scope: &CacheScope,
-    topo: &Topology,
-    declared: &CostVector,
-) -> Vec<(RoutingTable, PricingTable)> {
-    expected_tables_in(&scope.cache(topo, declared))
-}
-
-/// [`expected_tables_in`] against the process-shared [`RouteCache`] for
-/// `(topo, declared)` — the compatibility default for callers with no
-/// [`CacheScope`] of their own.
-pub fn expected_tables(
-    topo: &Topology,
-    declared: &CostVector,
-) -> Vec<(RoutingTable, PricingTable)> {
-    expected_tables_scoped(&CacheScope::global(), topo, declared)
-}
-
 /// One source's slice of [`expected_tables_uncached`]: the pre-`RouteCache`
 /// per-pair-query reference path, for the large-`n` benchmark arm (where
 /// all `n` uncached sources would take hours, a sampled handful minutes).
@@ -211,8 +162,7 @@ pub fn expected_tables_uncached_for(
 }
 
 /// The pre-`RouteCache` reference implementation: every single-pair query
-/// recomputes (and clones from) a full per-source tree, exactly as
-/// `lcp()`/`lcp_avoiding()` did before their deprecation.
+/// recomputes (and clones from) a full per-source tree.
 ///
 /// Retained **only** so the sweep regression benchmark can measure the
 /// uncached baseline on the same machine as the cached path; never call
@@ -263,9 +213,9 @@ pub struct RoutingProblem {
     flows: Vec<(NodeId, NodeId, u64)>,
     /// Problem-scoped route caches: a strategyproofness check sweeps a
     /// misreport grid of declared-cost vectors, each wanting its own
-    /// cache; scoping them to the problem keeps them from thrashing (or
-    /// being thrashed by) the process-wide registry, and releases them
-    /// when the problem drops.
+    /// cache, and every profile of the grid is revisited by the
+    /// `optimal`/`optimal_excluding` pair; the caches are released when
+    /// the problem drops.
     routes: CacheScope,
 }
 
@@ -285,7 +235,7 @@ impl RoutingProblem {
         RoutingProblem {
             topo,
             flows,
-            routes: CacheScope::unbounded(),
+            routes: CacheScope::eager(),
         }
     }
 
@@ -370,14 +320,18 @@ mod tests {
     use super::*;
     use specfaith_core::mechanism::{check_strategyproof, MisreportGrid};
     use specfaith_core::vcg::{vcg, VcgMechanism};
-    use specfaith_graph::generators::figure1;
+    use specfaith_graph::generators::{figure1, Figure1};
+
+    fn routes(net: &Figure1, declared: &CostVector) -> RouteCache {
+        RouteCache::new(net.topology.clone(), declared.clone())
+    }
 
     #[test]
     fn figure1_payment_to_c_is_its_marginal_contribution() {
         let net = figure1();
         // D→Z transits C; d(D,Z)=1, d_{G−C}(D,Z)=min(B=1000, X,A=105)=105.
         let p =
-            vcg_payment(&net.topology, &net.costs, net.d, net.z, net.c).expect("C transits D→Z");
+            vcg_payment_in(&routes(&net, &net.costs), net.d, net.z, net.c).expect("C transits D→Z");
         assert_eq!(p, Money::new(1 + 105 - 1));
     }
 
@@ -386,7 +340,7 @@ mod tests {
         let net = figure1();
         // B is not on the X→Z LCP.
         assert_eq!(
-            vcg_payment(&net.topology, &net.costs, net.x, net.z, net.b),
+            vcg_payment_in(&routes(&net, &net.costs), net.x, net.z, net.b),
             None
         );
     }
@@ -399,7 +353,8 @@ mod tests {
         let net = figure1();
         for declared_c in [1u64, 2, 3, 5] {
             let lied = net.costs.with_cost(net.c, Cost::new(declared_c));
-            let p = vcg_payment(&net.topology, &lied, net.d, net.z, net.c).expect("C still on LCP");
+            let p =
+                vcg_payment_in(&routes(&net, &lied), net.d, net.z, net.c).expect("C still on LCP");
             assert_eq!(p, Money::new(105), "declared {declared_c}");
         }
     }
@@ -407,7 +362,8 @@ mod tests {
     #[test]
     fn expected_tables_are_consistent_with_direct_queries() {
         let net = figure1();
-        let tables = expected_tables(&net.topology, &net.costs);
+        let routes = routes(&net, &net.costs);
+        let tables = expected_tables_in(&routes);
         let (routing_x, pricing_x) = &tables[net.x.index()];
         assert_eq!(
             routing_x.path(net.z),
@@ -415,7 +371,7 @@ mod tests {
         );
         assert_eq!(
             pricing_x.price(net.z, net.c),
-            vcg_payment(&net.topology, &net.costs, net.x, net.z, net.c)
+            vcg_payment_in(&routes, net.x, net.z, net.c)
         );
     }
 
@@ -427,8 +383,9 @@ mod tests {
         let decls: Vec<Cost> = net.costs.as_slice().to_vec();
         let outcome = vcg(&problem, &decls).expect("feasible");
         // Transit D is paid 3 packets × p^D; same for C.
-        let p_d = vcg_payment(&net.topology, &net.costs, net.x, net.z, net.d).expect("on LCP");
-        let p_c = vcg_payment(&net.topology, &net.costs, net.x, net.z, net.c).expect("on LCP");
+        let routes = routes(&net, &net.costs);
+        let p_d = vcg_payment_in(&routes, net.x, net.z, net.d).expect("on LCP");
+        let p_c = vcg_payment_in(&routes, net.x, net.z, net.c).expect("on LCP");
         assert_eq!(outcome.payments[net.d.index()], p_d.scale(3));
         assert_eq!(outcome.payments[net.c.index()], p_c.scale(3));
         assert_eq!(outcome.payments[net.b.index()], Money::ZERO);
@@ -447,7 +404,7 @@ mod tests {
     #[test]
     fn tables_agree_detects_differences() {
         let net = figure1();
-        let tables = expected_tables(&net.topology, &net.costs);
+        let tables = expected_tables_in(&routes(&net, &net.costs));
         let (r, p) = &tables[net.x.index()];
         assert!(tables_agree(r, p, r, p));
         let mut r2 = r.clone();

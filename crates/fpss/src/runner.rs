@@ -3,9 +3,7 @@
 //! [`PlainConfig`] is the plain-data description of one plain-FPSS
 //! instance (topology, true costs, traffic, latency, settlement, event
 //! budget); [`run_plain`] executes it for a given strategy assignment and
-//! seed. The `specfaith::scenario` layer drives this engine directly; the
-//! deprecated [`PlainFpssSim`] builder remains as a thin adapter for one
-//! release.
+//! seed. The `specfaith::scenario` layer drives this engine directly.
 
 use crate::deviation::{Faithful, RationalStrategy};
 use crate::node::{PlainFpssNode, StreamCommand, TAG_BEGIN_EXECUTION, TAG_STREAM};
@@ -80,9 +78,9 @@ pub struct PlainConfig {
     /// Event budget before a run is truncated.
     pub max_events: u64,
     /// Route-cache registry the run's centralized reference check draws
-    /// from. Defaults to the process-shared registry
-    /// ([`CacheScope::global`]) for compatibility; run/sweep engines
-    /// thread a scope of their own so the caches die with the workload.
+    /// from. Defaults to a fresh scope owned by this configuration (and
+    /// shared by its clones); sweep engines thread a scope of their own
+    /// so the caches die with the workload.
     pub routes: CacheScope,
     /// Scope of the post-construction reference comparison.
     pub reference_check: ReferenceCheck,
@@ -90,7 +88,7 @@ pub struct PlainConfig {
 
 impl PlainConfig {
     /// A configuration with the default latency, settlement, event
-    /// budget, route-cache scope (the process-shared registry), and
+    /// budget, route-cache scope (a fresh [`CacheScope::eager`]), and
     /// reference check (every node).
     ///
     /// # Panics
@@ -108,7 +106,7 @@ impl PlainConfig {
             dynamics: Dynamics::new(),
             settlement: SettlementConfig::default(),
             max_events: 5_000_000,
-            routes: CacheScope::global(),
+            routes: CacheScope::eager(),
             reference_check: ReferenceCheck::Full,
         }
     }
@@ -164,10 +162,11 @@ pub fn run_plain_with_deviant(
 ///
 /// The post-run comparison against the centralized VCG reference draws
 /// every route from the config's [`CacheScope`] (`config.routes`) for the
-/// declared cost vector, so repeated runs over the same declarations —
-/// every non-misreporting cell of a deviation sweep sharing one scope —
-/// share one set of Dijkstra trees, and the whole set is released when
-/// the scope drops. The scope defaults to the process-shared registry.
+/// declared cost vector. Runs over the same declarations share one set of
+/// trees while the cache is pinned or held elsewhere — every
+/// non-misreporting cell of a deviation sweep shares the sweep's pinned
+/// honest baseline — and a cache no one else holds is released when the
+/// run's check completes.
 pub fn run_plain(
     config: &PlainConfig,
     strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
@@ -355,9 +354,8 @@ impl PlainRunState {
                 routes.detach_seed();
                 pinned = Some(routes);
             } else {
-                // Under an eager scope (sweeps), a single-use per-cell cache is
-                // evicted here instead of lingering to sweep end; a no-op on
-                // ordinary scopes.
+                // A single-use per-cell cache is dropped here instead of
+                // lingering to sweep end.
                 config.routes.release(&routes);
             }
             ok
@@ -699,74 +697,6 @@ pub fn converged_table_digests(
         .collect()
 }
 
-/// Deprecated builder over [`PlainConfig`] + [`run_plain`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `specfaith::scenario::Scenario::builder()` with `Mechanism::Plain` (or drive `PlainConfig`/`run_plain` directly)"
-)]
-#[derive(Clone, Debug)]
-pub struct PlainFpssSim {
-    config: PlainConfig,
-}
-
-#[allow(deprecated)]
-impl PlainFpssSim {
-    /// A simulation over a biconnected topology with true costs and an
-    /// execution-phase traffic matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology is not biconnected or arities mismatch.
-    pub fn new(topo: Topology, true_costs: CostVector, traffic: TrafficMatrix) -> Self {
-        PlainFpssSim {
-            config: PlainConfig::new(topo, true_costs, traffic),
-        }
-    }
-
-    /// Overrides the settlement configuration.
-    #[must_use]
-    pub fn with_settlement(mut self, settlement: SettlementConfig) -> Self {
-        self.config.settlement = settlement;
-        self
-    }
-
-    /// Overrides the event budget.
-    #[must_use]
-    pub fn with_max_events(mut self, max_events: u64) -> Self {
-        self.config.max_events = max_events;
-        self
-    }
-
-    /// The topology.
-    pub fn topology(&self) -> &Topology {
-        &self.config.topo
-    }
-
-    /// Runs with every node faithful.
-    pub fn run_faithful(&self, seed: u64) -> PlainRunResult {
-        run_plain_faithful(&self.config, seed)
-    }
-
-    /// Runs with `deviant` playing `strategy` and everyone else faithful.
-    pub fn run_with_deviant(
-        &self,
-        deviant: NodeId,
-        strategy: Box<dyn RationalStrategy>,
-        seed: u64,
-    ) -> PlainRunResult {
-        run_plain_with_deviant(&self.config, deviant, strategy, seed)
-    }
-
-    /// Runs with an arbitrary per-node strategy assignment.
-    pub fn run_with(
-        &self,
-        strategies: impl FnMut(NodeId) -> Box<dyn RationalStrategy>,
-        seed: u64,
-    ) -> PlainRunResult {
-        run_plain(&self.config, strategies, seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -931,38 +861,37 @@ mod tests {
     }
 
     #[test]
-    fn scoped_runs_are_byte_identical_to_the_global_registry_path() {
-        // The tentpole pin (plain engine): a run whose reference check
-        // draws from a run-scoped CacheScope produces exactly the result
-        // of the same run on the process-shared registry.
+    fn reused_and_fresh_scopes_are_byte_identical() {
+        // Scope choice changes no result (plain engine): runs sharing one
+        // scope across every seed match runs each given a fresh scope.
         let (net, config) = figure1_config();
-        let mut scoped_config = config.clone();
-        scoped_config.routes = specfaith_graph::cache::CacheScope::unbounded();
         for seed in [1u64, 3, 9] {
-            let global = run_plain_faithful(&config, seed);
-            let scoped = run_plain_faithful(&scoped_config, seed);
-            assert_eq!(global.utilities, scoped.utilities, "seed {seed}");
+            let mut fresh_config = config.clone();
+            fresh_config.routes = CacheScope::eager();
+            let reused = run_plain_faithful(&config, seed);
+            let fresh = run_plain_faithful(&fresh_config, seed);
+            assert_eq!(reused.utilities, fresh.utilities, "seed {seed}");
             assert_eq!(
-                global.tables_match_centralized, scoped.tables_match_centralized,
+                reused.tables_match_centralized, fresh.tables_match_centralized,
                 "seed {seed}"
             );
             assert_eq!(
-                global.stats.total_msgs(),
-                scoped.stats.total_msgs(),
+                reused.stats.total_msgs(),
+                fresh.stats.total_msgs(),
                 "seed {seed}"
             );
-            let deviant_global =
+            let deviant_reused =
                 run_plain_with_deviant(&config, net.c, Box::new(MisreportCost { delta: 2 }), seed);
-            let deviant_scoped = run_plain_with_deviant(
-                &scoped_config,
+            let deviant_fresh = run_plain_with_deviant(
+                &fresh_config,
                 net.c,
                 Box::new(MisreportCost { delta: 2 }),
                 seed,
             );
-            assert_eq!(deviant_global.utilities, deviant_scoped.utilities);
+            assert_eq!(deviant_reused.utilities, deviant_fresh.utilities);
             assert_eq!(
-                deviant_global.tables_match_centralized,
-                deviant_scoped.tables_match_centralized
+                deviant_reused.tables_match_centralized,
+                deviant_fresh.tables_match_centralized
             );
         }
     }
@@ -1292,23 +1221,5 @@ mod tests {
         assert_eq!(outcome.messages, 0);
         assert_eq!(state.table_digests(), baseline);
         assert!(state.tables_match_centralized());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_adapter_matches_engine() {
-        let (_, config) = figure1_config();
-        let adapter = PlainFpssSim::new(
-            config.topo.clone(),
-            config.true_costs.clone(),
-            config.traffic.clone(),
-        );
-        let via_adapter = adapter.run_faithful(3);
-        let via_engine = run_plain_faithful(&config, 3);
-        assert_eq!(via_adapter.utilities, via_engine.utilities);
-        assert_eq!(
-            via_adapter.stats.total_msgs(),
-            via_engine.stats.total_msgs()
-        );
     }
 }

@@ -82,47 +82,6 @@ pub fn lcp_tree_avoiding(
     best
 }
 
-/// The lowest-cost path from `src` to `dst`, or `None` if unreachable.
-///
-/// Deprecated: a single-pair query has no business cloning a whole tree's
-/// worth of work. The borrow-based [`RouteCache::path`] is the only
-/// implementation now — this wrapper consults the shared cache and clones
-/// the one path at the edge, purely for signature compatibility.
-///
-/// [`RouteCache::path`]: crate::cache::RouteCache::path
-#[deprecated(
-    since = "0.3.0",
-    note = "use `RouteCache::shared(topo, costs).path(src, dst)` and borrow the path"
-)]
-pub fn lcp(topo: &Topology, costs: &CostVector, src: NodeId, dst: NodeId) -> Option<PathMetric> {
-    crate::cache::RouteCache::shared(topo, costs)
-        .path(src, dst)
-        .cloned()
-}
-
-/// The lowest-cost path from `src` to `dst` avoiding `avoid` entirely.
-///
-/// Deprecated: see [`lcp`]; the borrow-based replacement is
-/// [`RouteCache::path_avoiding`](crate::cache::RouteCache::path_avoiding).
-///
-/// # Panics
-///
-/// Panics if `avoid` equals `src` or `dst` (the VCG query only ever avoids
-/// intermediate nodes).
-#[deprecated(
-    since = "0.3.0",
-    note = "use `RouteCache::shared(topo, costs).path_avoiding(src, dst, avoid)` and borrow the path"
-)]
-pub fn lcp_avoiding(
-    topo: &Topology,
-    costs: &CostVector,
-    src: NodeId,
-    dst: NodeId,
-    avoid: NodeId,
-) -> Option<PathMetric> {
-    crate::cache::RouteCache::shared(topo, costs).path_avoiding(src, dst, avoid)
-}
-
 /// All-pairs lowest-cost paths: `result[src][dst]`.
 pub fn all_pairs(topo: &Topology, costs: &CostVector) -> Vec<Vec<Option<PathMetric>>> {
     topo.nodes().map(|src| lcp_tree(topo, costs, src)).collect()
@@ -130,9 +89,6 @@ pub fn all_pairs(topo: &Topology, costs: &CostVector) -> Vec<Vec<Option<PathMetr
 
 #[cfg(test)]
 mod tests {
-    // The deprecated single-pair wrappers stay covered until their removal.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::generators::{figure1, ring};
     use specfaith_core::money::Cost;
@@ -144,7 +100,9 @@ mod tests {
     #[test]
     fn figure1_x_to_z_costs_two() {
         let net = figure1();
-        let p = lcp(&net.topology, &net.costs, net.x, net.z).expect("biconnected");
+        let p = lcp_tree(&net.topology, &net.costs, net.x)[net.z.index()]
+            .clone()
+            .expect("biconnected");
         assert_eq!(p.cost(), Cost::new(2));
         assert_eq!(p.nodes(), &[net.x, net.d, net.c, net.z]);
     }
@@ -152,7 +110,9 @@ mod tests {
     #[test]
     fn figure1_z_to_d_costs_one_via_c() {
         let net = figure1();
-        let p = lcp(&net.topology, &net.costs, net.z, net.d).expect("biconnected");
+        let p = lcp_tree(&net.topology, &net.costs, net.z)[net.d.index()]
+            .clone()
+            .expect("biconnected");
         assert_eq!(p.cost(), Cost::new(1));
         assert_eq!(p.nodes(), &[net.z, net.c, net.d]);
     }
@@ -160,7 +120,9 @@ mod tests {
     #[test]
     fn figure1_b_to_d_is_free_direct() {
         let net = figure1();
-        let p = lcp(&net.topology, &net.costs, net.b, net.d).expect("biconnected");
+        let p = lcp_tree(&net.topology, &net.costs, net.b)[net.d.index()]
+            .clone()
+            .expect("biconnected");
         assert_eq!(p.cost(), Cost::ZERO);
         assert_eq!(p.hops(), 1);
     }
@@ -170,7 +132,9 @@ mod tests {
         // Example 1: if C declares 5, X-A-Z becomes the X to Z LCP.
         let net = figure1();
         let lied = net.costs.with_cost(net.c, Cost::new(5));
-        let p = lcp(&net.topology, &lied, net.x, net.z).expect("biconnected");
+        let p = lcp_tree(&net.topology, &lied, net.x)[net.z.index()]
+            .clone()
+            .expect("biconnected");
         assert_eq!(p.nodes(), &[net.x, net.a, net.z]);
         assert_eq!(p.cost(), Cost::new(5));
     }
@@ -179,7 +143,9 @@ mod tests {
     fn avoiding_reroutes() {
         let net = figure1();
         // X to Z avoiding C must use A (cost 5) rather than D-C (cost 2).
-        let p = lcp_avoiding(&net.topology, &net.costs, net.x, net.z, net.c).expect("biconnected");
+        let p = lcp_tree_avoiding(&net.topology, &net.costs, net.x, Some(net.c))[net.z.index()]
+            .clone()
+            .expect("biconnected");
         assert_eq!(p.nodes(), &[net.x, net.a, net.z]);
         assert_eq!(p.cost(), Cost::new(5));
     }
@@ -190,9 +156,13 @@ mod tests {
         let net = figure1();
         for i in net.topology.nodes() {
             for j in net.topology.nodes() {
-                let forward = lcp(&net.topology, &net.costs, i, j).expect("connected");
-                let backward = lcp(&net.topology, &net.costs, j, i).expect("connected");
-                assert_eq!(forward.cost(), backward.cost(), "{i}->{j}");
+                let forward = &lcp_tree(&net.topology, &net.costs, i)[j.index()];
+                let backward = &lcp_tree(&net.topology, &net.costs, j)[i.index()];
+                assert_eq!(
+                    forward.as_ref().expect("connected").cost(),
+                    backward.as_ref().expect("connected").cost(),
+                    "{i}->{j}"
+                );
             }
         }
     }
@@ -210,7 +180,7 @@ mod tests {
     fn unreachable_is_none() {
         let topo = Topology::builder(3).edge(0, 1).build();
         let costs = CostVector::uniform(3, 1);
-        assert!(lcp(&topo, &costs, n(0), n(2)).is_none());
+        assert!(lcp_tree(&topo, &costs, n(0))[2].is_none());
     }
 
     #[test]
@@ -219,7 +189,7 @@ mod tests {
         // (via 1 or via 3); lex picks via 1.
         let topo = ring(4);
         let costs = CostVector::uniform(4, 0);
-        let p = lcp(&topo, &costs, n(0), n(2)).expect("connected");
+        let p = lcp_tree(&topo, &costs, n(0))[2].clone().expect("connected");
         assert_eq!(p.nodes(), &[n(0), n(1), n(2)]);
     }
 
@@ -228,22 +198,20 @@ mod tests {
         // Triangle with zero costs: direct 1-hop wins over 2-hop.
         let topo = ring(3);
         let costs = CostVector::uniform(3, 0);
-        let p = lcp(&topo, &costs, n(0), n(1)).expect("connected");
+        let p = lcp_tree(&topo, &costs, n(0))[1].clone().expect("connected");
         assert_eq!(p.hops(), 1);
     }
 
     #[test]
-    fn all_pairs_agrees_with_single_queries() {
+    fn all_pairs_agrees_with_per_source_trees() {
         let net = figure1();
         let table = all_pairs(&net.topology, &net.costs);
         for i in net.topology.nodes() {
-            for j in net.topology.nodes() {
-                assert_eq!(
-                    table[i.index()][j.index()],
-                    lcp(&net.topology, &net.costs, i, j),
-                    "{i}->{j}"
-                );
-            }
+            assert_eq!(
+                table[i.index()],
+                lcp_tree(&net.topology, &net.costs, i),
+                "{i}"
+            );
         }
     }
 
@@ -251,14 +219,7 @@ mod tests {
     #[should_panic(expected = "cannot avoid the source")]
     fn avoid_source_rejected() {
         let net = figure1();
-        let _ = lcp_avoiding(&net.topology, &net.costs, net.x, net.z, net.x);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot avoid the destination")]
-    fn avoid_destination_rejected() {
-        let net = figure1();
-        let _ = lcp_avoiding(&net.topology, &net.costs, net.x, net.z, net.z);
+        let _ = lcp_tree_avoiding(&net.topology, &net.costs, net.x, Some(net.x));
     }
 
     #[test]
@@ -272,8 +233,6 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    #![allow(deprecated)]
-
     use super::*;
     use crate::generators::random_biconnected;
     use proptest::prelude::*;
@@ -342,8 +301,9 @@ mod proptests {
             let costs = CostVector::random(n, 0, 20, &mut rng);
             let nodes: Vec<NodeId> = topo.nodes().collect();
             let (src, dst, avoid) = (nodes[0], nodes[1], nodes[2]);
-            let with = lcp(&topo, &costs, src, dst).expect("reachable");
-            let without = lcp_avoiding(&topo, &costs, src, dst, avoid)
+            let with = lcp_tree(&topo, &costs, src)[dst.index()].clone().expect("reachable");
+            let without = lcp_tree_avoiding(&topo, &costs, src, Some(avoid))[dst.index()]
+                .clone()
                 .expect("biconnected implies an avoiding path exists");
             prop_assert!(without.cost() >= with.cost());
             prop_assert!(!without.contains(avoid));

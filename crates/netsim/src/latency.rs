@@ -36,9 +36,15 @@ impl LatencyModel for FixedLatency {
 
 /// A base delay plus uniform jitter in `0..=jitter` microseconds.
 ///
-/// Jitter exercises the protocols' insensitivity to message ordering
-/// across links (FIFO per link is still guaranteed by event ordering when
-/// jitter is zero; with jitter, cross-link races become visible).
+/// Delays are drawn per message, so with nonzero jitter two messages on
+/// the *same* link can overtake each other: the simulator does not yet
+/// enforce per-link FIFO delivery. The protocols are **not** insensitive
+/// to that reordering — FPSS sends only changed rows, so a stale routing
+/// or pricing update that arrives last wins. Honest plain runs on
+/// networks of 16 or more nodes can then converge to tables that differ
+/// from the centralized reference, and faithful runs can fail to
+/// green-light. Only with zero jitter (a fixed delay) is per-link FIFO
+/// guaranteed by event ordering.
 #[derive(Clone, Copy, Debug)]
 pub struct JitteredLatency {
     base: u64,

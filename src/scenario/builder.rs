@@ -394,9 +394,11 @@ impl ScenarioBuilder {
     }
 
     /// Overrides the route-cache scope the scenario's runs draw from.
-    /// Defaults to a scenario-owned bounded scope (dropped with the
-    /// scenario); sweeps always substitute a sweep-scoped registry of
-    /// their own regardless of this setting.
+    /// Defaults to a fresh scenario-owned [`CacheScope::eager`], in which
+    /// each run releases its reference cache when done; pass a scope and
+    /// [`pin`](CacheScope::pin) a cache to keep it across runs. Sweeps
+    /// always substitute a sweep-scoped registry of their own regardless
+    /// of this setting.
     #[must_use]
     pub fn route_scope(mut self, scope: CacheScope) -> Self {
         self.route_scope = Some(scope);
@@ -451,12 +453,10 @@ impl ScenarioBuilder {
         let traffic = self.traffic.materialize(n, &mut rng);
 
         // Each scenario owns its route caches: an explicit scope when the
-        // builder was given one, otherwise a scenario-scoped registry
-        // (bounded like the old process-wide default, but private — two
-        // scenarios can never evict each other's caches, and the memory
-        // dies with the scenario). Sweeps substitute a sweep-scoped
-        // registry on top of this.
-        let routes = self.route_scope.unwrap_or_else(|| CacheScope::bounded(64));
+        // builder was given one, otherwise a private scenario-scoped
+        // registry. Sweeps substitute a sweep-scoped registry on top of
+        // this.
+        let routes = self.route_scope.unwrap_or_else(CacheScope::eager);
         let engine = match &self.mechanism {
             Mechanism::Plain => {
                 let mut config = PlainConfig::new(topo, costs, traffic);
@@ -528,6 +528,19 @@ mod tests {
         );
         assert_eq!(scenario.traffic().flows().len(), 1);
         assert!(!scenario.mechanism().is_faithful());
+    }
+
+    #[test]
+    fn default_scope_keeps_no_cache_between_runs() {
+        // Each run releases its reference cache; only a pin keeps one.
+        for mechanism in [Mechanism::Plain, Mechanism::faithful()] {
+            let scenario = Scenario::builder().mechanism(mechanism).build();
+            let run = scenario.run(1);
+            assert_eq!(run.tables_match_centralized(), Some(true));
+            assert_eq!(scenario.route_scope().len(), 0);
+            assert_eq!(scenario.route_scope().misses(), 1);
+            assert_eq!(scenario.route_scope().released(), 1);
+        }
     }
 
     #[test]

@@ -41,10 +41,10 @@
 //! assert!(report.is_ex_post_nash());
 //! ```
 //!
-//! The deprecated `PlainFpssSim` / `FaithfulSim` builders are thin
-//! adapters over the same engines ([`specfaith_fpss::runner`] and
-//! [`specfaith_faithful::harness`]) and will be removed one release after
-//! 0.2.
+//! Scenarios drive the engines ([`specfaith_fpss::runner`] and
+//! [`specfaith_faithful::harness`]) directly; every run and sweep checks
+//! its tables against a centralized reference drawn from a run-owned
+//! [`CacheScope`].
 
 mod builder;
 mod coord;
@@ -272,29 +272,26 @@ impl Scenario {
     /// thread count.
     ///
     /// The sweep owns its route caches: every cell draws from one fresh
-    /// sweep-scoped [`CacheScope`] (never the process-wide registry), so
-    /// the cells of this sweep can neither evict each other's caches nor
-    /// be evicted by concurrent workloads, and all cache memory is
-    /// released when the sweep returns.
+    /// sweep-scoped [`CacheScope`], so concurrent workloads never touch
+    /// each other's caches, and all cache memory is released when the
+    /// sweep returns.
     ///
-    /// The default scope is **eager** ([`CacheScope::eager`]): a
-    /// misreport cell's single-use cache is dropped as soon as the cell's
-    /// reference check completes, so peak cache memory tracks the
+    /// A misreport cell's single-use cache is dropped as soon as the
+    /// cell's reference check completes, so peak cache memory tracks the
     /// *concurrent* cells (roughly 2 MB/cell at `n = 64` times the thread
     /// count) instead of every distinct declared-cost vector of the sweep
-    /// (~1.5 GB for the full-catalog standard sweep before eager
-    /// release). The honest-declaration cache all non-misreporting cells
-    /// share is pinned for the sweep's lifetime. Results are byte-
-    /// identical to any other scope choice. Callers who want different
-    /// retention pass a scope to [`Scenario::sweep_scoped`].
+    /// (~1.5 GB for the full-catalog standard sweep if all were kept).
+    /// The honest-declaration cache all non-misreporting cells share is
+    /// pinned for the sweep's lifetime. Results are byte-identical for
+    /// any scope passed to [`Scenario::sweep_scoped`].
     pub fn sweep(&self, seeds: &[u64], catalog: &Catalog) -> SweepReport {
         self.sweep_scoped(seeds, catalog, &CacheScope::eager())
     }
 
     /// [`Scenario::sweep`] drawing route caches from a caller-provided
     /// scope — for callers that sweep repeatedly over the same instance
-    /// (keep the scope alive to share reference tables across sweeps) or
-    /// that assert on cache behavior (hits, misses, evictions).
+    /// (keep the scope alive to share the pinned honest reference across
+    /// sweeps) or that assert on cache behavior (hits, misses, releases).
     pub fn sweep_scoped(
         &self,
         seeds: &[u64],

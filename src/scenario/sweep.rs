@@ -9,9 +9,10 @@
 //! [`CacheScope`](specfaith_graph::cache::CacheScope) threaded through
 //! all of its cells: the baselines warm it with the honest declared-cost
 //! vector's [`RouteCache`](specfaith_graph::cache::RouteCache) before the
-//! fan-out, each distinct misreported vector is registered exactly once
-//! (never evicted — the scope is unbounded and dies with the sweep), and
-//! concurrent workloads cannot interfere with it.
+//! fan-out (and pin it as every misreport cell's seed donor), each
+//! distinct misreported vector is registered exactly once and released
+//! when its cell completes, and concurrent workloads cannot interfere
+//! with it.
 //!
 //! **Phase 2** evaluates the deviation cells. Every cell is an
 //! independent, deterministic simulator run, so evaluation order cannot
@@ -375,15 +376,13 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_own_their_caches_and_never_evict() {
-        // Regression test for the registry-thrash bug: a sweep's
-        // misreport cells each declare a distinct cost vector, and under
-        // the old process-wide LRU registry enough of them silently
-        // evicted each other's caches and recomputed Dijkstra trees.
-        // A sweep-scoped registry must register each distinct vector
-        // exactly once (misses == distinct vectors — a thrashing
-        // registry shows more), evict nothing, and serve every repeat
-        // lookup from cache.
+    fn eager_scope_releases_per_cell_caches_without_changing_results() {
+        // A sweep's misreport cells each declare a distinct cost vector.
+        // The sweep scope must register each distinct vector exactly once
+        // (misses == distinct vectors), seed it from the pinned honest
+        // baseline, release it when its cell completes, and serve every
+        // declaration-preserving cell from the baseline's cache — all
+        // without changing a result.
         use specfaith_fpss::deviation::{DropTransitPackets, MisreportCost};
         let scenario = Scenario::builder()
             .topology(crate::scenario::TopologySource::RandomBiconnected {
@@ -405,8 +404,13 @@ mod tests {
                 Box::new(DropTransitPackets),
             ]
         });
-        let scope = crate::scenario::CacheScope::unbounded();
+        let scope = crate::scenario::CacheScope::eager();
         let report = scenario.sweep_scoped(&[3], &catalog, &scope);
+        assert_eq!(
+            report,
+            scenario.sweep_serial(&[3], &catalog),
+            "scope choice changes no result"
+        );
         assert_eq!(report.total_deviations(), n * 3);
         let distinct_vectors = 1 + 2 * n; // honest + (agent × misreport)
         assert_eq!(
@@ -414,81 +418,38 @@ mod tests {
             distinct_vectors,
             "every distinct declared-cost vector registered exactly once"
         );
-        assert_eq!(scope.evictions(), 0, "sweep scopes never evict");
         assert_eq!(
             scope.hits(),
             n + 1, // the baseline and the declaration-preserving cells
             // reuse the honest cache the sweep's pre-sweep pin registered
             "declaration-preserving cells must share the baseline's cache"
         );
-        assert_eq!(scope.len(), distinct_vectors);
         assert_eq!(
             scope.seeded(),
             2 * n,
             "every misreport cell's cache was seeded from the pinned baseline"
         );
-    }
-
-    #[test]
-    fn eager_scope_releases_per_cell_caches_without_changing_results() {
-        // The eager-eviction satellite: the same sweep on an eager scope
-        // must (a) produce byte-identical reports, (b) end with only the
-        // pinned honest cache registered, having released every misreport
-        // cell's single-use cache as its cell completed, and (c) keep the
-        // peak registration strictly below the retain-everything total.
-        use specfaith_fpss::deviation::{DropTransitPackets, MisreportCost};
-        let scenario = Scenario::builder()
-            .topology(crate::scenario::TopologySource::RandomBiconnected {
-                n: 12,
-                extra_edges: 4,
-            })
-            .costs(crate::scenario::CostModel::Random { lo: 1, hi: 9 })
-            .traffic(TrafficModel::single_by_index(0, 7, 2))
-            .instance_seed(5)
-            .build();
-        let n = scenario.num_nodes();
-        let catalog = Catalog::from_factory(|_| {
-            vec![
-                Box::new(MisreportCost { delta: 1 }),
-                Box::new(MisreportCost { delta: 2 }),
-                Box::new(DropTransitPackets),
-            ]
-        });
-        let lingering = crate::scenario::CacheScope::unbounded();
-        let reference = scenario.sweep_scoped(&[3], &catalog, &lingering);
-        let eager = crate::scenario::CacheScope::eager();
-        let released = scenario.sweep_scoped(&[3], &catalog, &eager);
-        assert_eq!(released, reference, "eager release changes no result");
-        let distinct_vectors = 1 + 2 * n;
         assert_eq!(
-            eager.misses(),
-            distinct_vectors,
-            "eager release never forces a recompute in this sweep"
+            scope.seeded() + scope.seed_no_donor() + scope.seed_delta_mismatch(),
+            scope.misses(),
+            "every miss attributed exactly once"
         );
         assert_eq!(
-            eager.len(),
-            1,
-            "only the pinned honest cache survives the sweep"
-        );
-        assert_eq!(
-            eager.released(),
+            scope.released(),
             2 * n,
             "every misreport cell's cache released at cell completion"
         );
         assert_eq!(
-            eager.seeded(),
-            2 * n,
-            "released-and-reseeded cells still repair from the pinned baseline"
+            scope.len(),
+            1,
+            "only the pinned honest cache survives the sweep"
         );
-        // Parallel peak is nondeterministic but bounded by concurrency;
-        // retaining everything would show distinct_vectors.
+        // Each running cell holds at most one unpinned cache.
         assert!(
-            eager.peak_len() < distinct_vectors,
-            "peak {} must undercut the retain-everything total {}",
-            eager.peak_len(),
-            distinct_vectors
+            scope.peak_len() <= 1 + rayon::current_num_threads(),
+            "peak {} exceeds the pinned baseline plus one cache per thread",
+            scope.peak_len()
         );
-        assert_eq!(lingering.len(), distinct_vectors, "non-eager retains all");
     }
 
     #[test]

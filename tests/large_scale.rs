@@ -1,7 +1,7 @@
 //! The large-n workload, scaled down to test size: the sparse presets
 //! build and converge, reference checks can be destination-sampled, the
 //! avoid-tree index stays proportional to queries even at n = 1024, and
-//! run-scoped caches are byte-identical to the global-registry path.
+//! the choice of route scope changes no result.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,8 +31,10 @@ fn large_presets_build_and_converge() {
     assert_eq!(run.tables_match_centralized(), Some(true));
 }
 
-/// Run-scoped caches and the sampled reference check change nothing
-/// observable about a preset run (the large-n pin, plain engine).
+/// The route scope and the sampled reference check change nothing
+/// observable about a preset run (the large-n pin, plain engine): a full
+/// check on one scope reused across two runs matches a sampled check on
+/// a fresh scope.
 #[test]
 fn scoped_and_sampled_runs_match_the_full_global_path() {
     let build = |check: ReferenceCheck, scope: CacheScope| {
@@ -42,18 +44,19 @@ fn scoped_and_sampled_runs_match_the_full_global_path() {
             .route_scope(scope)
             .build()
     };
-    let full_global = build(ReferenceCheck::Full, CacheScope::global()).run(2);
-    let sampled_scoped = build(
-        ReferenceCheck::Sampled { sources: 8 },
-        CacheScope::unbounded(),
-    )
-    .run(2);
-    assert_eq!(full_global.utilities, sampled_scoped.utilities);
-    assert_eq!(
-        full_global.stats.total_msgs(),
-        sampled_scoped.stats.total_msgs()
-    );
-    assert_eq!(full_global.tables_match_centralized(), Some(true));
+    let reused = CacheScope::eager();
+    let full = build(ReferenceCheck::Full, reused.clone());
+    let (full_first, full_again) = (full.run(2), full.run(2));
+    let sampled_scoped = build(ReferenceCheck::Sampled { sources: 8 }, CacheScope::eager()).run(2);
+    assert_eq!(reused.misses(), 2, "both runs drew from the reused scope");
+    for full_reused in [&full_first, &full_again] {
+        assert_eq!(full_reused.utilities, sampled_scoped.utilities);
+        assert_eq!(
+            full_reused.stats.total_msgs(),
+            sampled_scoped.stats.total_msgs()
+        );
+        assert_eq!(full_reused.tables_match_centralized(), Some(true));
+    }
     assert_eq!(sampled_scoped.tables_match_centralized(), Some(true));
 }
 
