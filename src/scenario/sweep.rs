@@ -375,14 +375,11 @@ mod tests {
         assert_eq!(report.faithful_utilities, baseline.utilities);
     }
 
-    #[test]
-    fn eager_scope_releases_per_cell_caches_without_changing_results() {
-        // A sweep's misreport cells each declare a distinct cost vector.
-        // The sweep scope must register each distinct vector exactly once
-        // (misses == distinct vectors), seed it from the pinned honest
-        // baseline, release it when its cell completes, and serve every
-        // declaration-preserving cell from the baseline's cache — all
-        // without changing a result.
+    /// A 12-node scenario and a catalog of two misreports (distinct
+    /// positive deltas: every cell's declared vector is unique) plus one
+    /// declaration-preserving deviation (its cells all share the honest
+    /// baseline's cache).
+    fn cache_probe_sweep() -> (Scenario, Catalog) {
         use specfaith_fpss::deviation::{DropTransitPackets, MisreportCost};
         let scenario = Scenario::builder()
             .topology(crate::scenario::TopologySource::RandomBiconnected {
@@ -393,10 +390,6 @@ mod tests {
             .traffic(TrafficModel::single_by_index(0, 7, 2))
             .instance_seed(5)
             .build();
-        let n = scenario.num_nodes();
-        // Two misreports (distinct positive deltas: every cell's declared
-        // vector is unique) plus one declaration-preserving deviation
-        // (its cells all share the honest baseline's cache).
         let catalog = Catalog::from_factory(|_| {
             vec![
                 Box::new(MisreportCost { delta: 1 }),
@@ -404,13 +397,23 @@ mod tests {
                 Box::new(DropTransitPackets),
             ]
         });
+        (scenario, catalog)
+    }
+
+    #[test]
+    fn sweeps_own_their_caches_and_never_evict() {
+        // Regression test for the registry-thrash bug: a sweep's
+        // misreport cells each declare a distinct cost vector, and under
+        // a shared process-wide registry enough of them silently evicted
+        // each other's caches and recomputed Dijkstra trees. A
+        // sweep-owned scope must register each distinct vector exactly
+        // once (misses == distinct vectors — a thrashing registry shows
+        // more), serve every repeat lookup from cache, and be untouched
+        // by another sweep running on its own scope.
+        let (scenario, catalog) = cache_probe_sweep();
+        let n = scenario.num_nodes();
         let scope = crate::scenario::CacheScope::eager();
         let report = scenario.sweep_scoped(&[3], &catalog, &scope);
-        assert_eq!(
-            report,
-            scenario.sweep_serial(&[3], &catalog),
-            "scope choice changes no result"
-        );
         assert_eq!(report.total_deviations(), n * 3);
         let distinct_vectors = 1 + 2 * n; // honest + (agent × misreport)
         assert_eq!(
@@ -433,6 +436,32 @@ mod tests {
             scope.seeded() + scope.seed_no_donor() + scope.seed_delta_mismatch(),
             scope.misses(),
             "every miss attributed exactly once"
+        );
+
+        let counters = |s: &crate::scenario::CacheScope| {
+            (s.misses(), s.hits(), s.seeded(), s.released(), s.len())
+        };
+        let before = counters(&scope);
+        let other = crate::scenario::CacheScope::eager();
+        assert_eq!(scenario.sweep_scoped(&[3], &catalog, &other), report);
+        assert_eq!(counters(&other), before, "a fresh scope repeats the sweep");
+        assert_eq!(counters(&scope), before, "another sweep's scope is separate");
+    }
+
+    #[test]
+    fn eager_scope_releases_per_cell_caches_without_changing_results() {
+        // The same sweep on an eager scope must produce the serial
+        // reference report, release every misreport cell's single-use
+        // cache as its cell completes, and end with only the pinned
+        // honest cache registered.
+        let (scenario, catalog) = cache_probe_sweep();
+        let n = scenario.num_nodes();
+        let scope = crate::scenario::CacheScope::eager();
+        let report = scenario.sweep_scoped(&[3], &catalog, &scope);
+        assert_eq!(
+            report,
+            scenario.sweep_serial(&[3], &catalog),
+            "scope choice changes no result"
         );
         assert_eq!(
             scope.released(),
