@@ -445,7 +445,11 @@ mod tests {
         let other = crate::scenario::CacheScope::eager();
         assert_eq!(scenario.sweep_scoped(&[3], &catalog, &other), report);
         assert_eq!(counters(&other), before, "a fresh scope repeats the sweep");
-        assert_eq!(counters(&scope), before, "another sweep's scope is separate");
+        assert_eq!(
+            counters(&scope),
+            before,
+            "another sweep's scope is separate"
+        );
     }
 
     #[test]
