@@ -82,15 +82,15 @@ impl Mirror {
     pub fn record_own_send(&mut self, msg: &FpssMsg) {
         match msg {
             FpssMsg::RoutingUpdate { rows } => {
-                for row in rows {
+                for row in rows.iter() {
                     self.core.learn_route(self.checker, row);
                 }
             }
             FpssMsg::PricingUpdate { rows, retractions } => {
-                for row in rows {
+                for row in rows.iter() {
                     self.core.learn_price(self.checker, row);
                 }
-                for &(dst, transit) in retractions {
+                for &(dst, transit) in retractions.iter() {
                     self.core.learn_price_retraction(self.checker, dst, transit);
                 }
             }
@@ -120,15 +120,15 @@ impl Mirror {
         }
         match inner {
             FpssMsg::RoutingUpdate { rows } => {
-                for row in rows {
+                for row in rows.iter() {
                     self.core.learn_route(original_from, row);
                 }
             }
             FpssMsg::PricingUpdate { rows, retractions } => {
-                for row in rows {
+                for row in rows.iter() {
                     self.core.learn_price(original_from, row);
                 }
-                for &(dst, transit) in retractions {
+                for &(dst, transit) in retractions.iter() {
                     self.core
                         .learn_price_retraction(original_from, dst, transit);
                 }
@@ -218,8 +218,7 @@ impl Mirror {
     /// Resets construction state for a phase restart (execution counters
     /// are kept — restarts only happen before execution).
     pub fn reset_construction(&mut self) {
-        let neighbors = self.core.neighbors().to_vec();
-        self.core = FpssCore::new(self.principal, neighbors);
+        self.core.reset();
         self.announced_routing = RoutingTable::new();
         self.announced_pricing = PricingTable::new();
     }
@@ -230,7 +229,7 @@ mod tests {
     use super::*;
     use specfaith_core::money::Money;
     use specfaith_fpss::msg::Packet;
-    use std::collections::BTreeSet;
+    use specfaith_fpss::msg::TagSet;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -248,7 +247,8 @@ mod tests {
             rows: vec![RouteRow {
                 dst: n(3),
                 path: vec![n(0), n(3)],
-            }],
+            }]
+            .into(),
         };
         assert!(!m.feed_forwarded(n(0), &msg), "own-origin copies rejected");
     }
@@ -260,7 +260,8 @@ mod tests {
             rows: vec![RouteRow {
                 dst: n(3),
                 path: vec![n(9), n(3)],
-            }],
+            }]
+            .into(),
         };
         assert!(!m.feed_forwarded(n(9), &msg), "9 is not P's neighbor");
     }
@@ -272,7 +273,8 @@ mod tests {
             rows: vec![RouteRow {
                 dst: n(3),
                 path: vec![n(2), n(3)],
-            }],
+            }]
+            .into(),
         };
         assert!(m.feed_forwarded(n(2), &msg));
     }
@@ -289,7 +291,8 @@ mod tests {
             rows: vec![RouteRow {
                 dst: n(3),
                 path: vec![n(0), n(3)],
-            }],
+            }]
+            .into(),
         });
         m.feed_forwarded(
             n(2),
@@ -297,7 +300,8 @@ mod tests {
                 rows: vec![RouteRow {
                     dst: n(3),
                     path: vec![n(2), n(3)],
-                }],
+                }]
+                .into(),
             },
         );
         m.recompute();
@@ -331,7 +335,7 @@ mod tests {
                 dst: n(3),
                 transit: n(2),
                 price: Money::new(5),
-                tags: BTreeSet::new(),
+                tags: TagSet::new(),
             }],
             &[],
         );

@@ -19,11 +19,12 @@ use specfaith_core::id::NodeId;
 use specfaith_core::money::{Cost, Money};
 use specfaith_crypto::auth::{Authenticated, ChannelKey};
 use specfaith_fpss::deviation::RationalStrategy;
-use specfaith_fpss::msg::{FpssMsg, Packet, PriceRow, RouteRow};
-use specfaith_fpss::node::{FpssCore, StreamCommand, TAG_STREAM};
+use specfaith_fpss::msg::{FpssMsg, Packet};
+use specfaith_fpss::node::{announcements, FpssCore, StreamCommand, TableDelta, TAG_STREAM};
 use specfaith_fpss::state::PaymentLedger;
 use specfaith_netsim::{Actor, Ctx, Payload};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Messages of the faithful protocol.
 #[derive(Clone, Debug)]
@@ -210,7 +211,7 @@ impl FaithfulNode {
         for mirror in self.mirrors.values_mut() {
             mirror.learn_cost(me, declared);
         }
-        for &b in self.core.neighbors().to_vec().iter() {
+        for &b in self.core.neighbors() {
             ctx.send(
                 b,
                 FMsg::Fpss(FpssMsg::CostAnnounce {
@@ -223,43 +224,19 @@ impl FaithfulNode {
     }
 
     fn reset_construction(&mut self) {
-        let me = self.core.me();
-        let neighbors = self.core.neighbors().to_vec();
-        self.core = FpssCore::new(me, neighbors);
+        self.core.reset();
         for mirror in self.mirrors.values_mut() {
             mirror.reset_construction();
         }
     }
 
-    fn announce(
-        &mut self,
-        ctx: &mut Ctx<'_, FMsg>,
-        changed_routes: Vec<RouteRow>,
-        changed_prices: Vec<PriceRow>,
-        retractions: Vec<(NodeId, NodeId)>,
-    ) {
-        let me = self.core.me();
-        let routes = self.strategy.announce_routing(me, changed_routes);
-        if !routes.is_empty() {
-            let msg = FpssMsg::RoutingUpdate { rows: routes };
-            for &b in self.core.neighbors().to_vec().iter() {
+    fn announce(&mut self, ctx: &mut Ctx<'_, FMsg>, delta: TableDelta) {
+        for msg in announcements(self.strategy.as_mut(), self.core.me(), delta) {
+            for &b in self.core.neighbors() {
                 ctx.send(b, FMsg::Fpss(msg.clone()));
             }
             // What went on the wire is also what our mirrors of the
             // receivers must count as "our" input to them.
-            for mirror in self.mirrors.values_mut() {
-                mirror.record_own_send(&msg);
-            }
-        }
-        let prices = self.strategy.announce_pricing(me, changed_prices);
-        if !prices.is_empty() || !retractions.is_empty() {
-            let msg = FpssMsg::PricingUpdate {
-                rows: prices,
-                retractions,
-            };
-            for &b in self.core.neighbors().to_vec().iter() {
-                ctx.send(b, FMsg::Fpss(msg.clone()));
-            }
             for mirror in self.mirrors.values_mut() {
                 mirror.record_own_send(&msg);
             }
@@ -269,23 +246,17 @@ impl FaithfulNode {
     fn recompute_and_announce(&mut self, ctx: &mut Ctx<'_, FMsg>) {
         let me = self.core.me();
         let strategy = &mut self.strategy;
-        let (changed_routes, changed_prices, retractions) = self
+        let delta = self
             .core
             .recompute_with(|honest| strategy.install_own_pricing(me, honest));
-        self.announce(ctx, changed_routes, changed_prices, retractions);
+        self.announce(ctx, delta);
     }
 
-    /// Destination-scoped recompute after `origin`'s declared cost changed
-    /// (see `FpssCore::dsts_affected_by_cost`), falling back to the full
-    /// recompute for strategies with whole-table hooks.
+    /// Recompute after `origin`'s declared cost was learned or changed
+    /// (see `FpssCore::apply_cost_change`), then announce.
     fn recompute_after_cost_change(&mut self, ctx: &mut Ctx<'_, FMsg>, origin: NodeId) {
-        if self.strategy.dst_scoped_recompute_safe() {
-            let changed_dsts = self.core.dsts_affected_by_cost(origin);
-            let (routes, prices, retractions) = self.core.recompute_dsts(&changed_dsts, true);
-            self.announce(ctx, routes, prices, retractions);
-        } else {
-            self.recompute_and_announce(ctx);
-        }
+        let delta = self.core.apply_cost_change(origin, self.strategy.as_mut());
+        self.announce(ctx, delta);
     }
 
     fn apply_stream_command(&mut self, ctx: &mut Ctx<'_, FMsg>, cmd: StreamCommand) {
@@ -301,7 +272,7 @@ impl FaithfulNode {
                 for mirror in self.mirrors.values_mut() {
                     mirror.update_cost(me, declared);
                 }
-                for &b in self.core.neighbors().to_vec().iter() {
+                for &b in self.core.neighbors() {
                     ctx.send(
                         b,
                         FMsg::Fpss(FpssMsg::CostUpdate {
@@ -324,9 +295,11 @@ impl FaithfulNode {
         }
     }
 
-    fn forward_to_checkers(&mut self, ctx: &mut Ctx<'_, FMsg>, from: NodeId, original: &FpssMsg) {
-        if let Some(copy) = self.strategy.forward_to_checkers(from, original.clone()) {
-            for &c in self.core.neighbors().to_vec().iter() {
+    /// Forwards a copy of `original` to every checker but its sender. The
+    /// copies share the original's rows unless the strategy rewrites them.
+    fn forward_to_checkers(&mut self, ctx: &mut Ctx<'_, FMsg>, from: NodeId, original: FpssMsg) {
+        if let Some(copy) = self.strategy.forward_to_checkers(from, original) {
+            for &c in self.core.neighbors() {
                 if c != from {
                     ctx.send(
                         c,
@@ -552,7 +525,7 @@ impl Actor for FaithfulNode {
                         mirror.learn_cost(origin, declared);
                     }
                     if let Some(reflooded) = self.strategy.reflood_cost(origin, declared) {
-                        for &b in self.core.neighbors().to_vec().iter() {
+                        for &b in self.core.neighbors() {
                             if b != from {
                                 ctx.send(
                                     b,
@@ -564,17 +537,7 @@ impl Actor for FaithfulNode {
                             }
                         }
                     }
-                    if self.strategy.dst_scoped_recompute_safe() {
-                        // First-write-wins costs only *enable* candidates:
-                        // the affected destinations are exactly those with
-                        // an advertised route through the origin.
-                        let changed_dsts = self.core.dsts_affected_by_cost(origin);
-                        let (routes, prices, retractions) =
-                            self.core.recompute_dsts(&changed_dsts, true);
-                        self.announce(ctx, routes, prices, retractions);
-                    } else {
-                        self.recompute_and_announce(ctx);
-                    }
+                    self.recompute_after_cost_change(ctx, origin);
                 }
             }
             FMsg::Fpss(FpssMsg::CostUpdate {
@@ -592,7 +555,7 @@ impl Actor for FaithfulNode {
                 // CostUpdate is not checker-forwarded: mirrors share the
                 // global DATA1, so the overwrite reaches every checker
                 // through the flood itself.
-                for &b in self.core.neighbors().to_vec().iter() {
+                for &b in self.core.neighbors() {
                     if b != from {
                         ctx.send(
                             b,
@@ -615,22 +578,13 @@ impl Actor for FaithfulNode {
                 if let Some(mirror) = self.mirrors.get_mut(&from) {
                     mirror.record_announced_routing(&rows);
                 }
-                let original = FpssMsg::RoutingUpdate { rows: rows.clone() };
-                self.forward_to_checkers(ctx, from, &original);
-                let mut changed_dsts = BTreeSet::new();
-                for row in &rows {
-                    if self.core.learn_route(from, row) {
-                        changed_dsts.insert(row.dst);
-                    }
-                }
-                if !changed_dsts.is_empty() {
-                    if self.strategy.dst_scoped_recompute_safe() {
-                        let (routes, prices, retractions) =
-                            self.core.recompute_dsts(&changed_dsts, true);
-                        self.announce(ctx, routes, prices, retractions);
-                    } else {
-                        self.recompute_and_announce(ctx);
-                    }
+                let original = FpssMsg::RoutingUpdate {
+                    rows: Arc::clone(&rows),
+                };
+                self.forward_to_checkers(ctx, from, original);
+                let strategy = self.strategy.as_mut();
+                if let Some(delta) = self.core.apply_routing_update(from, &rows, strategy) {
+                    self.announce(ctx, delta);
                 }
             }
             FMsg::Fpss(FpssMsg::PricingUpdate { rows, retractions }) => {
@@ -638,31 +592,16 @@ impl Actor for FaithfulNode {
                     mirror.record_announced_pricing(&rows, &retractions);
                 }
                 let original = FpssMsg::PricingUpdate {
-                    rows: rows.clone(),
-                    retractions: retractions.clone(),
+                    rows: Arc::clone(&rows),
+                    retractions: Arc::clone(&retractions),
                 };
-                self.forward_to_checkers(ctx, from, &original);
-                let mut changed_dsts = BTreeSet::new();
-                for row in &rows {
-                    if self.core.learn_price(from, row) {
-                        changed_dsts.insert(row.dst);
-                    }
-                }
-                for &(dst, transit) in &retractions {
-                    if self.core.learn_price_retraction(from, dst, transit) {
-                        changed_dsts.insert(dst);
-                    }
-                }
-                if !changed_dsts.is_empty() {
-                    if self.strategy.dst_scoped_recompute_safe() {
-                        // Advertised prices are not a routing input:
-                        // routing rows cannot change here.
-                        let (routes, prices, retractions) =
-                            self.core.recompute_dsts(&changed_dsts, false);
-                        self.announce(ctx, routes, prices, retractions);
-                    } else {
-                        self.recompute_and_announce(ctx);
-                    }
+                self.forward_to_checkers(ctx, from, original);
+                let strategy = self.strategy.as_mut();
+                let delta = self
+                    .core
+                    .apply_pricing_update(from, &rows, &retractions, strategy);
+                if let Some(delta) = delta {
+                    self.announce(ctx, delta);
                 }
             }
             FMsg::Fpss(FpssMsg::Data(pkt)) => {

@@ -14,37 +14,60 @@
 //! principal and checkers, so the recomputation must be a deterministic
 //! function of the inputs and nothing else.
 
-use crate::msg::{PriceRow, RouteRow};
+use crate::msg::{PriceRow, RouteRow, TagSet};
 use crate::state::{PriceEntry, PricingTable, RoutingTable, TransitCostList};
 use specfaith_core::id::NodeId;
-use specfaith_core::money::Cost;
+use specfaith_core::money::{Cost, Money};
 use specfaith_graph::path::PathMetric;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Dense-slot ceiling for the per-neighbor route tables. Honest
+/// Dense-slot ceiling for the per-neighbor destination records. Honest
 /// destination ids are dense `0..n` and sit far below this; advertised
 /// rows naming larger ids (only forgeable — see the deviation hooks) fall
 /// back to the sparse map so a hostile row cannot force a giant
 /// allocation.
-const DENSE_ROUTE_SLOTS: usize = 4096;
+pub const DENSE_ROUTE_SLOTS: usize = 4096;
+
+/// What one neighbor advertised toward one destination: its path and its
+/// `(transit, price)` rows.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Advert {
+    /// The advertised path (starting at the neighbor, ending at the
+    /// destination); empty where nothing was advertised.
+    path: Vec<NodeId>,
+    /// The advertised per-packet prices, sorted by transit.
+    prices: Vec<(NodeId, i64)>,
+}
+
+impl Advert {
+    fn is_empty(&self) -> bool {
+        self.path.is_empty() && self.prices.is_empty()
+    }
+}
+
+/// The price for `transit` in `(transit, price)` rows sorted by transit.
+fn price_of(prices: &[(NodeId, i64)], transit: NodeId) -> Option<i64> {
+    let at = prices.binary_search_by_key(&transit, |(k, _)| *k).ok()?;
+    Some(prices[at].1)
+}
 
 /// A node's record of what its neighbors have advertised: routes and
 /// prices, exactly as received (the inputs to recomputation).
 ///
-/// Routes are stored per neighbor, dense by destination index: the
-/// recompute functions read `route(b, dst)` on their innermost loops, so
-/// the lookup is a short linear probe over the (few) neighbors plus an
-/// array read — never a tree walk. Destinations at or beyond the dense
-/// ceiling (forged ids) take the sparse fallback.
+/// One record per neighbor, dense by destination index, holds both the
+/// advertised path and that neighbor's `(transit, price)` rows sorted by
+/// transit: the recompute functions read both on their innermost loops, so
+/// a lookup is a short linear probe over the (few) neighbors, an array
+/// read and a binary search in a slice of a few prices — never a tree
+/// walk. Destinations at or beyond [`DENSE_ROUTE_SLOTS`] (forged ids) take
+/// the sparse fallback, for prices as well as routes.
 #[derive(Clone, Debug, Default)]
 pub struct NeighborView {
-    /// Per neighbor, `paths[dst.index()]` = the advertised path (starting
-    /// at the neighbor, ending at dst), `None` where nothing advertised.
-    routes: Vec<(NodeId, Vec<Option<Vec<NodeId>>>)>,
-    /// Rows whose destination index does not fit the dense table.
-    sparse_routes: BTreeMap<(NodeId, NodeId), Vec<NodeId>>,
-    /// `(neighbor, dst, transit) → neighbor's advertised per-packet price`.
-    prices: BTreeMap<(NodeId, NodeId, NodeId), i64>,
+    /// Per neighbor, `adverts[dst.index()]` = what it advertised toward
+    /// `dst`.
+    adverts: Vec<(NodeId, Vec<Advert>)>,
+    /// Records whose destination index does not fit the dense table.
+    sparse: BTreeMap<(NodeId, NodeId), Advert>,
     /// Reverse membership index: `node → (dst → occurrences)` counts how
     /// many stored routes toward `dst` contain `node` anywhere on their
     /// path. Maintained incrementally by [`NeighborView::learn_route`]
@@ -89,6 +112,34 @@ impl NeighborView {
         }
     }
 
+    /// The record `neighbor` holds for `dst`, if any.
+    fn advert(&self, neighbor: NodeId, dst: NodeId) -> Option<&Advert> {
+        if dst.index() >= DENSE_ROUTE_SLOTS {
+            return self.sparse.get(&(neighbor, dst));
+        }
+        let (_, adverts) = self.adverts.iter().find(|(b, _)| *b == neighbor)?;
+        adverts.get(dst.index())
+    }
+
+    /// The record `neighbor` holds for `dst`, created empty if missing.
+    fn advert_mut(&mut self, neighbor: NodeId, dst: NodeId) -> &mut Advert {
+        if dst.index() >= DENSE_ROUTE_SLOTS {
+            return self.sparse.entry((neighbor, dst)).or_default();
+        }
+        let at = match self.adverts.iter().position(|(b, _)| *b == neighbor) {
+            Some(at) => at,
+            None => {
+                self.adverts.push((neighbor, Vec::new()));
+                self.adverts.len() - 1
+            }
+        };
+        let adverts = &mut self.adverts[at].1;
+        if dst.index() >= adverts.len() {
+            adverts.resize_with(dst.index() + 1, Advert::default);
+        }
+        &mut adverts[dst.index()]
+    }
+
     /// Records a route advertisement from `neighbor`. Returns `true` if
     /// the stored row changed. Rows whose path does not start at the
     /// neighbor or end at the row's destination are rejected (malformed).
@@ -96,35 +147,12 @@ impl NeighborView {
         if row.path.first() != Some(&neighbor) || row.path.last() != Some(&row.dst) {
             return false;
         }
-        let slot = row.dst.index();
-        if slot >= DENSE_ROUTE_SLOTS {
-            let key = (neighbor, row.dst);
-            if self.sparse_routes.get(&key) == Some(&row.path) {
-                return false;
-            }
-            if let Some(old) = self.sparse_routes.insert(key, row.path.clone()) {
-                Self::unindex_path(&mut self.through, row.dst, &old);
-            }
-            Self::index_path(&mut self.through, row.dst, &row.path);
-            return true;
-        }
-        let at = match self.routes.iter().position(|(b, _)| *b == neighbor) {
-            Some(at) => at,
-            None => {
-                self.routes.push((neighbor, Vec::new()));
-                self.routes.len() - 1
-            }
-        };
-        let paths = &mut self.routes[at].1;
-        if slot >= paths.len() {
-            paths.resize(slot + 1, None);
-        }
-        if paths[slot].as_ref() == Some(&row.path) {
+        let advert = self.advert_mut(neighbor, row.dst);
+        if advert.path == row.path {
             return false;
         }
-        if let Some(old) = paths[slot].replace(row.path.clone()) {
-            Self::unindex_path(&mut self.through, row.dst, &old);
-        }
+        let old = std::mem::replace(&mut advert.path, row.path.clone());
+        Self::unindex_path(&mut self.through, row.dst, &old);
         Self::index_path(&mut self.through, row.dst, &row.path);
         true
     }
@@ -142,56 +170,68 @@ impl NeighborView {
     /// Records a price advertisement from `neighbor`. Returns `true` if
     /// the stored value changed.
     pub fn learn_price(&mut self, neighbor: NodeId, row: &PriceRow) -> bool {
-        let key = (neighbor, row.dst, row.transit);
         let value = row.price.value();
-        if self.prices.get(&key) == Some(&value) {
-            return false;
+        let prices = &mut self.advert_mut(neighbor, row.dst).prices;
+        match prices.binary_search_by_key(&row.transit, |(k, _)| *k) {
+            Ok(at) if prices[at].1 == value => false,
+            Ok(at) => {
+                prices[at].1 = value;
+                true
+            }
+            Err(at) => {
+                prices.insert(at, (row.transit, value));
+                true
+            }
         }
-        self.prices.insert(key, value);
-        true
     }
 
     /// Removes a previously advertised price (the neighbor retracted it).
     /// Returns `true` if the view changed.
     pub fn retract_price(&mut self, neighbor: NodeId, dst: NodeId, transit: NodeId) -> bool {
-        self.prices.remove(&(neighbor, dst, transit)).is_some()
+        let Some(advert) = self.advert(neighbor, dst) else {
+            return false;
+        };
+        let Ok(at) = advert.prices.binary_search_by_key(&transit, |(k, _)| *k) else {
+            return false;
+        };
+        let advert = self.advert_mut(neighbor, dst);
+        advert.prices.remove(at);
+        if dst.index() >= DENSE_ROUTE_SLOTS && advert.is_empty() {
+            self.sparse.remove(&(neighbor, dst));
+        }
+        true
     }
 
     /// The path `neighbor` advertised toward `dst`, if any.
     pub fn route(&self, neighbor: NodeId, dst: NodeId) -> Option<&[NodeId]> {
-        if dst.index() >= DENSE_ROUTE_SLOTS {
-            return self.sparse_routes.get(&(neighbor, dst)).map(Vec::as_slice);
-        }
-        let (_, paths) = self.routes.iter().find(|(b, _)| *b == neighbor)?;
-        paths.get(dst.index())?.as_deref()
+        let path = &self.advert(neighbor, dst)?.path;
+        (!path.is_empty()).then_some(path.as_slice())
     }
 
     /// The price `neighbor` advertised for `(dst, transit)`, if any.
     pub fn price(&self, neighbor: NodeId, dst: NodeId, transit: NodeId) -> Option<i64> {
-        self.prices.get(&(neighbor, dst, transit)).copied()
+        price_of(&self.advert(neighbor, dst)?.prices, transit)
     }
 
-    /// The advertised routes as sorted `((neighbor, dst), path)` content
-    /// (normalizes away storage artifacts like trailing empty slots).
-    fn route_content(&self) -> BTreeMap<(NodeId, NodeId), &Vec<NodeId>> {
-        let mut content = BTreeMap::new();
-        for (neighbor, paths) in &self.routes {
-            for (slot, path) in paths.iter().enumerate() {
-                if let Some(path) = path {
-                    content.insert((*neighbor, NodeId::from_index(slot)), path);
-                }
-            }
-        }
-        for (&key, path) in &self.sparse_routes {
-            content.insert(key, path);
-        }
-        content
+    /// The advertised records as sorted `(neighbor, dst) → record` content
+    /// (normalizes away storage artifacts like empty dense slots).
+    fn content(&self) -> BTreeMap<(NodeId, NodeId), &Advert> {
+        let dense = self.adverts.iter().flat_map(|(neighbor, adverts)| {
+            adverts
+                .iter()
+                .enumerate()
+                .map(move |(slot, advert)| ((*neighbor, NodeId::from_index(slot)), advert))
+        });
+        dense
+            .chain(self.sparse.iter().map(|(&key, advert)| (key, advert)))
+            .filter(|(_, advert)| !advert.is_empty())
+            .collect()
     }
 }
 
 impl PartialEq for NeighborView {
     fn eq(&self, other: &Self) -> bool {
-        self.prices == other.prices && self.route_content() == other.route_content()
+        self.content() == other.content()
     }
 }
 
@@ -309,9 +349,7 @@ pub fn recompute_prices(
         if dst == me {
             continue;
         }
-        for (transit, entry) in price_entries_to(neighbors, data1, path, view, dst) {
-            table.insert(dst, transit, entry);
-        }
+        table.push_dst(dst, price_entries_to(neighbors, data1, path, view, dst));
     }
     table
 }
@@ -341,20 +379,33 @@ pub fn price_entries_to(
         return Vec::new();
     };
     let d_me = d_me.value() as i64;
-    // Per-neighbor inputs — advertised path, its locally-costed distance,
-    // the neighbor's declared cost — are pure functions of `(b, dst)`, so
-    // they are derived once here rather than once per transit. `None` =
-    // this neighbor contributes no candidate.
-    let per_neighbor: Vec<Option<(&[NodeId], i64, i64)>> = neighbors
+    // Per-neighbor inputs — advertised path and prices, the path's
+    // locally-costed distance, the neighbor's declared cost — are pure
+    // functions of `(b, dst)`, so they are read once here rather than once
+    // per transit. Neighbors that contribute no candidate are left out.
+    let witnesses: Vec<Witness<'_>> = neighbors
         .iter()
-        .map(|&b| {
+        .filter_map(|&b| {
             if b == dst {
-                return Some((&[][..], 0, 0));
+                return Some(Witness {
+                    b,
+                    path: &[],
+                    prices: &[],
+                    d_b: 0,
+                    c_b: 0,
+                });
             }
-            let p = view.route(b, dst)?;
-            let d_b = data1.path_cost(p)?.value() as i64;
-            let c_b = data1.declared(b)?.value() as i64;
-            Some((p, d_b, c_b))
+            let advert = view.advert(b, dst)?;
+            if advert.path.is_empty() {
+                return None;
+            }
+            Some(Witness {
+                b,
+                path: &advert.path,
+                prices: &advert.prices,
+                d_b: data1.path_cost(&advert.path)?.value() as i64,
+                c_b: data1.declared(b)?.value() as i64,
+            })
         })
         .collect();
     let mut rows = Vec::with_capacity(transits.len());
@@ -364,47 +415,38 @@ pub fn price_entries_to(
         };
         let c_k = c_k.value() as i64;
         let mut best: Option<i64> = None;
-        let mut tags: BTreeSet<NodeId> = BTreeSet::new();
-        for (&b, inputs) in neighbors.iter().zip(&per_neighbor) {
-            if b == k {
+        let mut tags = TagSet::new();
+        for w in &witnesses {
+            if w.b == k {
                 // Problem partitioning (FPSS footnote 8): the priced
                 // node's own advertisements are never used to price it.
                 continue;
             }
-            let Some((path_b, d_b, c_b)) = *inputs else {
-                continue;
-            };
-            let detour = if path_b.contains(&k) {
-                let Some(p_bk) = view.price(b, dst, k) else {
+            let detour = if w.path.contains(&k) {
+                let Some(p_bk) = price_of(w.prices, k) else {
                     continue;
                 };
-                p_bk - c_k + d_b
+                p_bk - c_k + w.d_b
             } else {
-                d_b
+                w.d_b
             };
-            let candidate = c_k + c_b + detour - d_me;
+            let candidate = c_k + w.c_b + detour - d_me;
             match best {
-                None => {
-                    best = Some(candidate);
-                    tags.clear();
-                    tags.insert(b);
-                }
-                Some(cur) if candidate < cur => {
-                    best = Some(candidate);
-                    tags.clear();
-                    tags.insert(b);
-                }
+                Some(cur) if candidate > cur => {}
                 Some(cur) if candidate == cur => {
-                    tags.insert(b);
+                    tags.insert(w.b);
                 }
-                Some(_) => {}
+                _ => {
+                    best = Some(candidate);
+                    tags = TagSet::single(w.b);
+                }
             }
         }
         if let Some(price) = best {
             rows.push((
                 k,
                 PriceEntry {
-                    price: specfaith_core::money::Money::new(price),
+                    price: Money::new(price),
                     tags,
                 },
             ));
@@ -416,10 +458,22 @@ pub fn price_entries_to(
     rows
 }
 
+/// One neighbor's inputs to the pricing of one destination.
+struct Witness<'a> {
+    b: NodeId,
+    /// `b`'s advertised path (empty when `b` is the destination).
+    path: &'a [NodeId],
+    /// `b`'s advertised `(transit, price)` rows, sorted by transit.
+    prices: &'a [(NodeId, i64)],
+    /// The locally-costed distance of `path`.
+    d_b: i64,
+    /// `b`'s declared cost (zero when `b` is the destination).
+    c_b: i64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specfaith_core::money::{Cost, Money};
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -479,6 +533,41 @@ mod tests {
         let mut same = NeighborView::new();
         same.learn_route(n(1), &row);
         assert_eq!(view, same, "equality covers sparse rows");
+
+        // Prices toward a forged destination take the same fallback.
+        let price = |transit: NodeId, value: i64| PriceRow {
+            dst: forged,
+            transit,
+            price: Money::new(value),
+            tags: TagSet::new(),
+        };
+        assert!(view.learn_price(n(1), &price(n(3), 7)));
+        assert!(!view.learn_price(n(1), &price(n(3), 7)), "idempotent");
+        assert!(view.learn_price(n(1), &price(n(2), 4)));
+        assert!(view.learn_price(n(1), &price(n(3), 8)), "overwrite");
+        assert_eq!(view.price(n(1), forged, n(3)), Some(8));
+        assert_eq!(view.price(n(1), forged, n(2)), Some(4));
+        assert_eq!(view.price(n(4), forged, n(3)), None);
+        assert_ne!(view, same, "equality covers sparse prices");
+        // A price-only record for another forged id, and its retraction.
+        let other = NodeId::new(u32::MAX);
+        let lone = PriceRow {
+            dst: other,
+            ..price(n(3), 1)
+        };
+        assert!(view.learn_price(n(1), &lone));
+        assert_eq!(view.route(n(1), other), None);
+        assert!(view.retract_price(n(1), other, n(3)));
+        assert!(!view.retract_price(n(1), other, n(3)), "already gone");
+        assert!(
+            !view.sparse.contains_key(&(n(1), other)),
+            "empty records drop"
+        );
+        assert!(view.retract_price(n(1), forged, n(2)));
+        assert!(view.retract_price(n(1), forged, n(3)));
+        assert_eq!(view.price(n(1), forged, n(3)), None);
+        assert_eq!(view, same, "retractions restore the route-only view");
+        assert!(view.adverts.is_empty(), "no dense slots for forged ids");
     }
 
     #[test]
@@ -494,7 +583,7 @@ mod tests {
             dst: n(2),
             transit: n(3),
             price: Money::new(5),
-            tags: BTreeSet::new(),
+            tags: TagSet::new(),
         };
         assert!(view.learn_price(n(1), &price));
         assert!(!view.learn_price(n(1), &price));
@@ -671,7 +760,7 @@ mod tests {
                 dst: n(2),
                 transit: n(1),
                 price: Money::new(9),
-                tags: BTreeSet::new(),
+                tags: TagSet::new(),
             },
         );
         let routes = recompute_routes(n(0), &[n(1), n(3)], &d1, &view);

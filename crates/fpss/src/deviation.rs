@@ -454,20 +454,20 @@ impl RationalStrategy for TamperCheckerForwards {
         let tampered = match msg {
             FpssMsg::PricingUpdate { rows, retractions } => FpssMsg::PricingUpdate {
                 rows: rows
-                    .into_iter()
+                    .iter()
                     .map(|row| PriceRow {
                         price: row.price.scale(2),
-                        ..row
+                        ..row.clone()
                     })
                     .collect(),
                 retractions,
             },
             FpssMsg::RoutingUpdate { rows } => FpssMsg::RoutingUpdate {
                 rows: rows
-                    .into_iter()
+                    .iter()
                     .map(|row| RouteRow {
+                        dst: row.dst,
                         path: vec![original_from, row.dst],
-                        ..row
                     })
                     .collect(),
             },
@@ -674,7 +674,7 @@ pub fn standard_catalog(forged_tag: NodeId) -> Vec<Box<dyn RationalStrategy>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use crate::msg::TagSet;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -733,7 +733,7 @@ mod tests {
             dst: n(1),
             transit: n(2),
             price: Money::new(10),
-            tags: BTreeSet::new(),
+            tags: TagSet::new(),
         }];
         let out = s.announce_pricing(n(0), rows);
         assert_eq!(out[0].price, Money::new(5));
@@ -800,9 +800,10 @@ mod tests {
                 dst: n(1),
                 transit: n(2),
                 price: Money::new(7),
-                tags: BTreeSet::new(),
-            }],
-            retractions: Vec::new(),
+                tags: TagSet::new(),
+            }]
+            .into(),
+            retractions: Vec::new().into(),
         };
         match s.forward_to_checkers(n(3), msg) {
             Some(FpssMsg::PricingUpdate { rows, .. }) => {

@@ -16,7 +16,7 @@ use crate::state::{PaymentLedger, PricingTable, RoutingTable, TransitCostList};
 use specfaith_core::id::NodeId;
 use specfaith_core::money::{Cost, Money};
 use specfaith_netsim::{Actor, Ctx};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Timer tag that starts the execution phase (set by the harness once
 /// construction has converged).
@@ -49,6 +49,32 @@ pub enum StreamCommand {
     ResyncNeighbor(NodeId),
 }
 
+/// What one recomputation changed, to be announced: the changed routing
+/// rows, the changed pricing rows and the retracted `(dst, transit)`
+/// pricing keys, each in key order.
+pub type TableDelta = (Vec<RouteRow>, Vec<PriceRow>, Vec<(NodeId, NodeId)>);
+
+/// The update messages that announce `delta` once it has passed through
+/// `strategy`'s announcement hooks: at most one routing and one pricing
+/// update. Each message's rows are built once; every copy sent to a
+/// neighbor (or recorded by a checker) shares them.
+pub fn announcements(
+    strategy: &mut dyn RationalStrategy,
+    me: NodeId,
+    (routes, prices, retractions): TableDelta,
+) -> impl Iterator<Item = FpssMsg> {
+    let routes = strategy.announce_routing(me, routes);
+    let prices = strategy.announce_pricing(me, prices);
+    let routing = (!routes.is_empty()).then(|| FpssMsg::RoutingUpdate {
+        rows: routes.into(),
+    });
+    let pricing = (!prices.is_empty() || !retractions.is_empty()).then(|| FpssMsg::PricingUpdate {
+        rows: prices.into(),
+        retractions: retractions.into(),
+    });
+    routing.into_iter().chain(pricing)
+}
+
 /// The pure FPSS construction-phase state machine of one node.
 #[derive(Clone, Debug)]
 pub struct FpssCore {
@@ -71,6 +97,12 @@ impl FpssCore {
             prices: PricingTable::new(),
             view: NeighborView::new(),
         }
+    }
+
+    /// Discards all construction state, keeping the node id and neighbor
+    /// list (a phase restart or a rejoin with amnesia).
+    pub fn reset(&mut self) {
+        *self = FpssCore::new(self.me, std::mem::take(&mut self.neighbors));
     }
 
     /// This core's node id.
@@ -167,9 +199,14 @@ impl FpssCore {
     /// starts at `origin` and is therefore indexed), or `origin` as the
     /// destination itself — places `origin` on a stored advertised path or
     /// is `origin`, so the affected set is sound for cost changes too.
-    pub fn dsts_affected_by_cost(&self, origin: NodeId) -> BTreeSet<NodeId> {
-        let mut dsts: BTreeSet<NodeId> = self.view.dsts_through(origin).collect();
-        dsts.insert(origin);
+    ///
+    /// The set comes sorted and duplicate-free, as
+    /// [`FpssCore::recompute_dsts`] expects it.
+    pub fn dsts_affected_by_cost(&self, origin: NodeId) -> Vec<NodeId> {
+        let mut dsts: Vec<NodeId> = self.view.dsts_through(origin).collect();
+        if let Err(at) = dsts.binary_search(&origin) {
+            dsts.insert(at, origin);
+        }
         dsts
     }
 
@@ -191,6 +228,90 @@ impl FpssCore {
         self.view.retract_price(from, dst, transit)
     }
 
+    /// Records a neighbor's routing update and recomputes what it
+    /// invalidated for a node playing `strategy`; `None` when no stored
+    /// row changed (nothing to announce).
+    ///
+    /// Strategies that declare
+    /// [`RationalStrategy::dst_scoped_recompute_safe`] take
+    /// [`FpssCore::recompute_dsts`] over the changed destinations; the
+    /// others get the full [`FpssCore::recompute_with`], so their
+    /// whole-table [`RationalStrategy::install_own_pricing`] hook observes
+    /// every input change.
+    pub fn apply_routing_update(
+        &mut self,
+        from: NodeId,
+        rows: &[RouteRow],
+        strategy: &mut dyn RationalStrategy,
+    ) -> Option<TableDelta> {
+        let mut dsts = Vec::new();
+        for row in rows {
+            if self.view.learn_route(from, row) {
+                dsts.push(row.dst);
+            }
+        }
+        self.refresh(dsts, true, strategy)
+    }
+
+    /// Records a neighbor's pricing update (rows and retractions) and
+    /// recomputes what it invalidated, as
+    /// [`FpssCore::apply_routing_update`] does; `None` when the view did
+    /// not change. Advertised prices are not a routing input, so the
+    /// scoped path leaves routing rows alone.
+    pub fn apply_pricing_update(
+        &mut self,
+        from: NodeId,
+        rows: &[PriceRow],
+        retractions: &[(NodeId, NodeId)],
+        strategy: &mut dyn RationalStrategy,
+    ) -> Option<TableDelta> {
+        let mut dsts = Vec::new();
+        for row in rows {
+            if self.view.learn_price(from, row) {
+                dsts.push(row.dst);
+            }
+        }
+        for &(dst, transit) in retractions {
+            if self.view.retract_price(from, dst, transit) {
+                dsts.push(dst);
+            }
+        }
+        self.refresh(dsts, false, strategy)
+    }
+
+    /// Recomputes after `origin`'s declared cost was learned or changed:
+    /// the destinations of [`FpssCore::dsts_affected_by_cost`] when
+    /// `strategy` allows the scoped path, else everything.
+    pub fn apply_cost_change(
+        &mut self,
+        origin: NodeId,
+        strategy: &mut dyn RationalStrategy,
+    ) -> TableDelta {
+        let dsts = self.dsts_affected_by_cost(origin);
+        self.refresh(dsts, true, strategy)
+            .expect("the origin itself is always affected")
+    }
+
+    /// Recomputes after the inputs of `dsts` (any order, duplicates
+    /// allowed) changed; `None` when nothing did.
+    fn refresh(
+        &mut self,
+        mut dsts: Vec<NodeId>,
+        routing_changed: bool,
+        strategy: &mut dyn RationalStrategy,
+    ) -> Option<TableDelta> {
+        if dsts.is_empty() {
+            return None;
+        }
+        if !strategy.dst_scoped_recompute_safe() {
+            let me = self.me;
+            return Some(self.recompute_with(|honest| strategy.install_own_pricing(me, honest)));
+        }
+        dsts.sort_unstable();
+        dsts.dedup();
+        Some(self.recompute_dsts(&dsts, routing_changed))
+    }
+
     /// Recomputes routing and pricing from the current inputs, installing
     /// the results and returning the changed routing rows, changed pricing
     /// rows, and retracted pricing keys (all to be announced).
@@ -198,11 +319,10 @@ impl FpssCore {
     /// `install_pricing` post-processes the honestly recomputed pricing
     /// table before installation — the identity for faithful nodes, a
     /// manipulation hook for deviants.
-    #[allow(clippy::type_complexity)]
     pub fn recompute_with(
         &mut self,
         install_pricing: impl FnOnce(PricingTable) -> PricingTable,
-    ) -> (Vec<RouteRow>, Vec<PriceRow>, Vec<(NodeId, NodeId)>) {
+    ) -> TableDelta {
         let new_routes = recompute_routes(self.me, &self.neighbors, &self.data1, &self.view);
         let mut changed_routes = Vec::new();
         for (dst, path) in new_routes.iter() {
@@ -226,8 +346,7 @@ impl FpssCore {
     }
 
     /// Faithful recomputation.
-    #[allow(clippy::type_complexity)]
-    pub fn recompute(&mut self) -> (Vec<RouteRow>, Vec<PriceRow>, Vec<(NodeId, NodeId)>) {
+    pub fn recompute(&mut self) -> TableDelta {
         self.recompute_with(|t| t)
     }
 
@@ -242,8 +361,9 @@ impl FpssCore {
     /// ([`price_entries_to`]) — so rows outside `dsts` cannot differ from
     /// what the last full recompute installed. Callers pass
     /// `routing_changed = false` for price-only input changes (advertised
-    /// prices are not a routing input). DATA1 changes invalidate every
-    /// destination and must go through the full recompute.
+    /// prices are not a routing input). DATA1 changes invalidate the
+    /// destinations of [`FpssCore::dsts_affected_by_cost`]. `dsts` must be
+    /// sorted and duplicate-free: the changed rows come out in its order.
     ///
     /// This is the construction-phase hot path: honest nodes — and
     /// deviants declaring [`destination-scoped
@@ -252,12 +372,7 @@ impl FpssCore {
     /// rows it touched rather than the whole table. Strategies that
     /// transform tables or announcements keep the full recompute so their
     /// whole-table hooks observe unchanged inputs.
-    #[allow(clippy::type_complexity)]
-    pub fn recompute_dsts(
-        &mut self,
-        dsts: &BTreeSet<NodeId>,
-        routing_changed: bool,
-    ) -> (Vec<RouteRow>, Vec<PriceRow>, Vec<(NodeId, NodeId)>) {
+    pub fn recompute_dsts(&mut self, dsts: &[NodeId], routing_changed: bool) -> TableDelta {
         let mut changed_routes = Vec::new();
         if routing_changed {
             for &dst in dsts {
@@ -291,32 +406,12 @@ impl FpssCore {
             if dst == self.me {
                 continue;
             }
-            let new_rows = match self.routes.path(dst) {
+            let rows = match self.routes.path(dst) {
                 Some(path) => price_entries_to(&self.neighbors, &self.data1, path, &self.view, dst),
                 None => Vec::new(),
             };
-            for (transit, entry) in &new_rows {
-                if self.prices.entry(dst, *transit) != Some(entry) {
-                    changed_prices.push(PriceRow {
-                        dst,
-                        transit: *transit,
-                        price: entry.price,
-                        tags: entry.tags.clone(),
-                    });
-                }
-            }
-            let retracted: Vec<NodeId> = self
-                .prices
-                .transits_for(dst)
-                .filter(|k| !new_rows.iter().any(|(nk, _)| nk == k))
-                .collect();
-            for (transit, entry) in new_rows {
-                self.prices.insert(dst, transit, entry);
-            }
-            for transit in retracted {
-                self.prices.remove(dst, transit);
-                retractions.push((dst, transit));
-            }
+            self.prices
+                .replace_dst(dst, rows, &mut changed_prices, &mut retractions);
         }
         (changed_routes, changed_prices, retractions)
     }
@@ -330,10 +425,6 @@ pub struct PlainFpssNode {
     true_cost: Cost,
     declared: Option<Cost>,
     strategy: Box<dyn RationalStrategy>,
-    /// Cached [`RationalStrategy::dst_scoped_recompute_safe`]: honest
-    /// nodes — and deviants whose computation hooks are the identity —
-    /// take the destination-scoped incremental recompute path.
-    incremental: bool,
     pending_traffic: Vec<(NodeId, u64)>,
     /// Highest [`FpssMsg::CostUpdate`] epoch seen per origin (including
     /// this node's own updates); stale epochs are dropped unprocessed.
@@ -368,13 +459,11 @@ impl PlainFpssNode {
         strategy: Box<dyn RationalStrategy>,
         max_hops: u32,
     ) -> Self {
-        let incremental = strategy.dst_scoped_recompute_safe();
         PlainFpssNode {
             core: FpssCore::new(me, neighbors),
             true_cost,
             declared: None,
             strategy,
-            incremental,
             pending_traffic: Vec::new(),
             cost_epochs: BTreeMap::new(),
             stream_commands: Vec::new(),
@@ -442,50 +531,19 @@ impl PlainFpssNode {
         }
     }
 
-    fn announce(
-        &mut self,
-        ctx: &mut Ctx<'_, FpssMsg>,
-        changed_routes: Vec<RouteRow>,
-        changed_prices: Vec<PriceRow>,
-        retractions: Vec<(NodeId, NodeId)>,
-    ) {
-        let me = self.core.me();
-        let routes = self.strategy.announce_routing(me, changed_routes);
-        if !routes.is_empty() {
+    fn announce(&mut self, ctx: &mut Ctx<'_, FpssMsg>, delta: TableDelta) {
+        for msg in announcements(self.strategy.as_mut(), self.core.me(), delta) {
             for &b in self.core.neighbors() {
-                ctx.send(
-                    b,
-                    FpssMsg::RoutingUpdate {
-                        rows: routes.clone(),
-                    },
-                );
-            }
-        }
-        let prices = self.strategy.announce_pricing(me, changed_prices);
-        if !prices.is_empty() || !retractions.is_empty() {
-            for &b in self.core.neighbors() {
-                ctx.send(
-                    b,
-                    FpssMsg::PricingUpdate {
-                        rows: prices.clone(),
-                        retractions: retractions.clone(),
-                    },
-                );
+                ctx.send(b, msg.clone());
             }
         }
     }
 
-    /// Destination-scoped recompute after `origin`'s declared cost changed
-    /// (see [`FpssCore::dsts_affected_by_cost`]), falling back to the full
-    /// recompute for strategies with whole-table hooks.
+    /// Recompute after `origin`'s declared cost was learned or changed
+    /// (see [`FpssCore::apply_cost_change`]), then announce.
     fn recompute_after_cost_change(&mut self, ctx: &mut Ctx<'_, FpssMsg>, origin: NodeId) {
-        if self.incremental {
-            let changed_dsts = self.core.dsts_affected_by_cost(origin);
-            let (routes, prices, retractions) = self.core.recompute_dsts(&changed_dsts, true);
-            self.announce(ctx, routes, prices, retractions);
-        } else {
-            self.recompute_and_announce(ctx);
-        }
+        let delta = self.core.apply_cost_change(origin, self.strategy.as_mut());
+        self.announce(ctx, delta);
     }
 
     fn apply_stream_command(&mut self, ctx: &mut Ctx<'_, FpssMsg>, cmd: StreamCommand) {
@@ -522,8 +580,7 @@ impl PlainFpssNode {
                 self.recompute_and_announce(ctx);
             }
             StreamCommand::Rejoin => {
-                let neighbors = self.core.neighbors().to_vec();
-                self.core = FpssCore::new(me, neighbors);
+                self.core.reset();
                 self.cost_epochs.clear();
                 let declared = self.strategy.declare_cost(self.true_cost);
                 self.declared = Some(declared);
@@ -551,15 +608,15 @@ impl PlainFpssNode {
                 }
                 let rows = self.core.routes().to_rows();
                 if !rows.is_empty() {
-                    ctx.send(back, FpssMsg::RoutingUpdate { rows });
+                    ctx.send(back, FpssMsg::RoutingUpdate { rows: rows.into() });
                 }
                 let rows = self.core.prices().to_rows();
                 if !rows.is_empty() {
                     ctx.send(
                         back,
                         FpssMsg::PricingUpdate {
-                            rows,
-                            retractions: Vec::new(),
+                            rows: rows.into(),
+                            retractions: Vec::new().into(),
                         },
                     );
                 }
@@ -570,10 +627,10 @@ impl PlainFpssNode {
     fn recompute_and_announce(&mut self, ctx: &mut Ctx<'_, FpssMsg>) {
         let strategy = &mut self.strategy;
         let me = self.core.me();
-        let (changed_routes, changed_prices, retractions) = self
+        let delta = self
             .core
             .recompute_with(|honest| strategy.install_own_pricing(me, honest));
-        self.announce(ctx, changed_routes, changed_prices, retractions);
+        self.announce(ctx, delta);
     }
 
     fn handle_packet(&mut self, ctx: &mut Ctx<'_, FpssMsg>, pkt: Packet) {
@@ -674,17 +731,7 @@ impl Actor for PlainFpssNode {
                             }
                         }
                     }
-                    if self.incremental {
-                        // First-write-wins costs only *enable* candidates:
-                        // the affected destinations are exactly those with
-                        // an advertised route through the origin.
-                        let changed_dsts = self.core.dsts_affected_by_cost(origin);
-                        let (routes, prices, retractions) =
-                            self.core.recompute_dsts(&changed_dsts, true);
-                        self.announce(ctx, routes, prices, retractions);
-                    } else {
-                        self.recompute_and_announce(ctx);
-                    }
+                    self.recompute_after_cost_change(ctx, origin);
                 }
             }
             FpssMsg::CostUpdate {
@@ -717,44 +764,18 @@ impl Actor for PlainFpssNode {
                 }
             }
             FpssMsg::RoutingUpdate { rows } => {
-                let mut changed_dsts = BTreeSet::new();
-                for row in &rows {
-                    if self.core.learn_route(from, row) {
-                        changed_dsts.insert(row.dst);
-                    }
-                }
-                if !changed_dsts.is_empty() {
-                    if self.incremental {
-                        let (routes, prices, retractions) =
-                            self.core.recompute_dsts(&changed_dsts, true);
-                        self.announce(ctx, routes, prices, retractions);
-                    } else {
-                        self.recompute_and_announce(ctx);
-                    }
+                let strategy = self.strategy.as_mut();
+                if let Some(delta) = self.core.apply_routing_update(from, &rows, strategy) {
+                    self.announce(ctx, delta);
                 }
             }
             FpssMsg::PricingUpdate { rows, retractions } => {
-                let mut changed_dsts = BTreeSet::new();
-                for row in &rows {
-                    if self.core.learn_price(from, row) {
-                        changed_dsts.insert(row.dst);
-                    }
-                }
-                for &(dst, transit) in &retractions {
-                    if self.core.learn_price_retraction(from, dst, transit) {
-                        changed_dsts.insert(dst);
-                    }
-                }
-                if !changed_dsts.is_empty() {
-                    if self.incremental {
-                        // Advertised prices are not a routing input:
-                        // routing rows cannot change here.
-                        let (routes, prices, retractions) =
-                            self.core.recompute_dsts(&changed_dsts, false);
-                        self.announce(ctx, routes, prices, retractions);
-                    } else {
-                        self.recompute_and_announce(ctx);
-                    }
+                let strategy = self.strategy.as_mut();
+                let delta = self
+                    .core
+                    .apply_pricing_update(from, &rows, &retractions, strategy);
+                if let Some(delta) = delta {
+                    self.announce(ctx, delta);
                 }
             }
             FpssMsg::Data(pkt) => self.handle_packet(ctx, pkt),

@@ -1,11 +1,11 @@
 //! The per-node data of FPSS §4.1: DATA1–DATA4, with canonical bank hashes.
 
-use crate::msg::{PriceRow, RouteRow};
+use crate::msg::{PriceRow, RouteRow, TagSet};
 use specfaith_core::id::NodeId;
 use specfaith_core::money::{Cost, Money};
 use specfaith_crypto::sha256::Digest;
 use specfaith_crypto::tablehash::TableHasher;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// \[DATA1\] Transit-cost list: this node's knowledge of declared transit
@@ -223,20 +223,60 @@ impl RoutingTable {
 
 /// One entry of the extended pricing table \[DATA3*\]: the per-packet price
 /// of a transit node plus the identity tags of §4.2.
+///
+/// Tags are a [`TagSet`]: the common one-to-four-tag entry carries them
+/// inline, so building, comparing and announcing an entry allocates
+/// nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PriceEntry {
     /// Per-packet VCG payment.
     pub price: Money,
     /// The neighbor(s) whose information produced this entry (union on
     /// pricing ties) — the spoof-detection extension of the paper.
-    pub tags: BTreeSet<NodeId>,
+    pub tags: TagSet,
 }
 
 /// \[DATA3*\] Pricing table: per `(destination, transit)` pair, the
 /// per-packet payment this node owes that transit, with identity tags.
+///
+/// Stored per destination: each destination maps to its `(transit,
+/// entry)` rows sorted by transit, and no destination maps to an empty
+/// list. A destination's rows are what one destination-scoped recompute
+/// produces, so [`PricingTable::replace_dst`] swaps them in with one merge
+/// diff, and a single-row lookup is one tree step plus a binary search in
+/// a slice of a few rows. Iteration, digests and announced rows follow
+/// `(dst, transit)` key order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PricingTable {
-    entries: BTreeMap<(NodeId, NodeId), PriceEntry>,
+    rows: BTreeMap<NodeId, Vec<(NodeId, PriceEntry)>>,
+}
+
+/// Appends the announcement of `dst`'s move from rows `old` to rows `new`
+/// (both sorted by transit): every new row that differs from its old
+/// counterpart to `changed`, every old transit absent from `new` to
+/// `retracted` — each in transit order.
+fn diff_rows(
+    dst: NodeId,
+    old: &[(NodeId, PriceEntry)],
+    new: &[(NodeId, PriceEntry)],
+    changed: &mut Vec<PriceRow>,
+    retracted: &mut Vec<(NodeId, NodeId)>,
+) {
+    let mut old = old.iter().peekable();
+    for (transit, entry) in new {
+        while let Some((gone, _)) = old.next_if(|(k, _)| k < transit) {
+            retracted.push((dst, *gone));
+        }
+        if old.next_if(|(k, _)| k == transit).map(|(_, e)| e) != Some(entry) {
+            changed.push(PriceRow {
+                dst,
+                transit: *transit,
+                price: entry.price,
+                tags: entry.tags.clone(),
+            });
+        }
+    }
+    retracted.extend(old.map(|(gone, _)| (dst, *gone)));
 }
 
 impl PricingTable {
@@ -247,7 +287,9 @@ impl PricingTable {
 
     /// The entry for traffic to `dst` transiting `transit`.
     pub fn entry(&self, dst: NodeId, transit: NodeId) -> Option<&PriceEntry> {
-        self.entries.get(&(dst, transit))
+        let rows = self.rows.get(&dst)?;
+        let at = rows.binary_search_by_key(&transit, |(k, _)| *k).ok()?;
+        Some(&rows[at].1)
     }
 
     /// The price for `(dst, transit)`, if present.
@@ -255,72 +297,105 @@ impl PricingTable {
         self.entry(dst, transit).map(|e| e.price)
     }
 
-    /// Total per-packet payment this node owes along its route to `dst`.
-    pub fn total_price_to(&self, dst: NodeId) -> Money {
-        self.entries
-            .iter()
-            .filter(|((d, _), _)| *d == dst)
-            .map(|(_, e)| e.price)
-            .sum()
+    /// Replaces `dst`'s rows with `rows` (sorted by transit, as
+    /// [`crate::compute::price_entries_to`] returns them), appending what
+    /// must be announced: new or changed rows to `changed`, transits that
+    /// left the table to `retracted`, each in transit order.
+    pub fn replace_dst(
+        &mut self,
+        dst: NodeId,
+        rows: Vec<(NodeId, PriceEntry)>,
+        changed: &mut Vec<PriceRow>,
+        retracted: &mut Vec<(NodeId, NodeId)>,
+    ) {
+        let old = self.rows.get(&dst).map_or(&[][..], Vec::as_slice);
+        diff_rows(dst, old, &rows, changed, retracted);
+        if rows.is_empty() {
+            self.rows.remove(&dst);
+        } else {
+            self.rows.insert(dst, rows);
+        }
     }
 
     /// Replaces the whole table (the recompute functions build fresh
     /// tables). Returns `(changed rows, retracted keys)` — exactly what
-    /// must be announced to neighbors. Retractions matter for the checker
-    /// protocol: the announced table accumulated by checkers must track
-    /// removals, or the \[BANK2\] hash comparison would flag honest nodes.
+    /// must be announced to neighbors, in key order: the
+    /// [`PricingTable::replace_dst`] diff of every destination either
+    /// table holds. Retractions matter for the checker protocol: the
+    /// announced table accumulated by checkers must track removals, or the
+    /// \[BANK2\] hash comparison would flag honest nodes.
     pub fn replace(&mut self, new: PricingTable) -> (Vec<PriceRow>, Vec<(NodeId, NodeId)>) {
         let mut changed = Vec::new();
-        for (&(dst, transit), entry) in &new.entries {
-            if self.entries.get(&(dst, transit)) != Some(entry) {
-                changed.push(PriceRow {
-                    dst,
-                    transit,
-                    price: entry.price,
-                    tags: entry.tags.clone(),
-                });
+        let mut retracted = Vec::new();
+        let mut old = std::mem::take(&mut self.rows).into_iter().peekable();
+        for (&dst, rows) in &new.rows {
+            while let Some((gone, old_rows)) = old.next_if(|(d, _)| *d < dst) {
+                diff_rows(gone, &old_rows, &[], &mut changed, &mut retracted);
             }
+            let old_rows = old.next_if(|(d, _)| *d == dst).map(|(_, r)| r);
+            diff_rows(
+                dst,
+                old_rows.as_deref().unwrap_or_default(),
+                rows,
+                &mut changed,
+                &mut retracted,
+            );
         }
-        let retracted: Vec<(NodeId, NodeId)> = self
-            .entries
-            .keys()
-            .filter(|key| !new.entries.contains_key(*key))
-            .copied()
-            .collect();
-        self.entries = new.entries;
+        for (gone, old_rows) in old {
+            diff_rows(gone, &old_rows, &[], &mut changed, &mut retracted);
+        }
+        self.rows = new.rows;
         (changed, retracted)
     }
 
     /// Removes an entry, returning whether it was present.
     pub fn remove(&mut self, dst: NodeId, transit: NodeId) -> bool {
-        self.entries.remove(&(dst, transit)).is_some()
+        let Some(rows) = self.rows.get_mut(&dst) else {
+            return false;
+        };
+        let Ok(at) = rows.binary_search_by_key(&transit, |(k, _)| *k) else {
+            return false;
+        };
+        rows.remove(at);
+        if rows.is_empty() {
+            self.rows.remove(&dst);
+        }
+        true
     }
 
     /// Inserts a single entry (used by mirrors and tests).
     pub fn insert(&mut self, dst: NodeId, transit: NodeId, entry: PriceEntry) {
-        self.entries.insert((dst, transit), entry);
+        let rows = self.rows.entry(dst).or_default();
+        match rows.binary_search_by_key(&transit, |(k, _)| *k) {
+            Ok(at) => rows[at].1 = entry,
+            Err(at) => rows.insert(at, (transit, entry)),
+        }
     }
 
-    /// Iterates the transits currently priced for `dst`, in transit order.
-    pub fn transits_for(&self, dst: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries
-            .range((dst, NodeId::new(0))..=(dst, NodeId::new(u32::MAX)))
-            .map(|(&(_, transit), _)| transit)
+    /// Installs the rows of a destination this table does not hold yet
+    /// (sorted by transit; empty lists are skipped). The full recompute
+    /// builds its fresh table this way.
+    pub(crate) fn push_dst(&mut self, dst: NodeId, rows: Vec<(NodeId, PriceEntry)>) {
+        if !rows.is_empty() {
+            self.rows.insert(dst, rows);
+        }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.values().map(Vec::len).sum()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rows.is_empty()
     }
 
     /// Iterates `((dst, transit), entry)` in key order.
     pub fn iter(&self) -> impl Iterator<Item = ((NodeId, NodeId), &PriceEntry)> + '_ {
-        self.entries.iter().map(|(&k, v)| (k, v))
+        self.rows
+            .iter()
+            .flat_map(|(&dst, rows)| rows.iter().map(move |(k, e)| ((dst, *k), e)))
     }
 
     /// The table as announcement rows.
@@ -339,7 +414,7 @@ impl PricingTable {
     /// that inclusion is what catches spoofed pricing messages (§4.3).
     pub fn digest(&self) -> Digest {
         let mut h = TableHasher::new("fpss/data3*");
-        for (&(dst, transit), entry) in &self.entries {
+        for ((dst, transit), entry) in self.iter() {
             h.put_u32(dst.raw())
                 .put_u32(transit.raw())
                 .put_i64(entry.price.value());
@@ -357,7 +432,7 @@ impl PricingTable {
     /// hash, a pure tag forgery passes \[BANK2\] undetected.
     pub fn digest_without_tags(&self) -> Digest {
         let mut h = TableHasher::new("fpss/data3");
-        for (&(dst, transit), entry) in &self.entries {
+        for ((dst, transit), entry) in self.iter() {
             h.put_u32(dst.raw())
                 .put_u32(transit.raw())
                 .put_i64(entry.price.value());
@@ -543,21 +618,114 @@ mod tests {
         assert_ne!(a.digest(), b.digest(), "tags are part of the hash");
     }
 
-    #[test]
-    fn data3_total_price_sums_transits() {
+    /// A three-entry table whose entries all carry the ids of `tags`
+    /// (shifted per destination, so unsorted and duplicated input
+    /// exercises the set's sorting and deduplication).
+    fn pinned_table(tags: &[u32]) -> PricingTable {
         let mut table = PricingTable::new();
-        for (t, p) in [(2, 4), (3, 6)] {
+        for (dst, transit, price) in [(3, 7, 11), (1, 2, -4), (3, 2, 0)] {
             table.insert(
-                n(1),
-                n(t),
+                n(dst),
+                n(transit),
                 PriceEntry {
-                    price: Money::new(p),
-                    tags: BTreeSet::new(),
+                    price: Money::new(price + tags.len() as i64),
+                    tags: tags.iter().map(|&t| n(t + dst)).collect(),
                 },
             );
         }
-        assert_eq!(table.total_price_to(n(1)), Money::new(10));
-        assert_eq!(table.total_price_to(n(9)), Money::ZERO);
+        table
+    }
+
+    /// Pins the DATA3* hash bytes for entries carrying 0, 1, 4 (inline at
+    /// capacity) and 5 (spilled to the heap) tags. The bank compares these
+    /// digests across principal and checkers, so neither the table's
+    /// storage layout nor the tag representation may reach the hash. The
+    /// constants were computed with the earlier `BTreeMap<(dst, transit),
+    /// _>` table and `BTreeSet` tags.
+    #[test]
+    fn data3_digests_are_pinned() {
+        let cases: [(&[u32], usize, &str, &str); 4] = [
+            (
+                &[],
+                0,
+                "a28e1da180c8e5d15b85f6a5b5d9a6a16d393658235a497f9e3151f6c64d38e8",
+                "f39ba6d19e7379db452a0abe544f919319ea1a015ada936a3f09574545763b29",
+            ),
+            (
+                &[5],
+                1,
+                "7f6418f63b3efdfe4d133ae454989ce3fd434ef02cf23a3b10321c385983e444",
+                "cbe988f78a3b2bf4f46e4f41b4c24f59630427ce6a3c6434e669fb20b66e48b1",
+            ),
+            (
+                &[9, 4, 4, 6, 1],
+                4,
+                "ed9ae3755c16ce05419a24a56c405c5507ff63f6085814f196b808272658a757",
+                "f7fde4124f59b67e73312db3503c4e48961279f2a2c3231ead4fc60bf9bdd637",
+            ),
+            (
+                &[8, 3, 12, 0, 5, 3],
+                5,
+                "7c3ef38279a08d2e7d28d679dc034c17a699204ea59f613e5d773475b4eef2ee",
+                "221e8e721b98eeb8ead64aabe1652285bd02d8baadf61e6fcea027f819f6d1eb",
+            ),
+        ];
+        for (tags, len, digest, without_tags) in cases {
+            let table = pinned_table(tags);
+            assert!(table.iter().all(|(_, e)| e.tags.len() == len), "{tags:?}");
+            assert_eq!(table.digest().to_hex(), digest, "{tags:?}");
+            assert_eq!(
+                table.digest_without_tags().to_hex(),
+                without_tags,
+                "{tags:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn data3_replace_dst_diffs_in_transit_order() {
+        let entry = |price: i64, tag: u32| PriceEntry {
+            price: Money::new(price),
+            tags: TagSet::single(n(tag)),
+        };
+        let mut table = PricingTable::new();
+        let (mut changed, mut retracted) = (Vec::new(), Vec::new());
+        table.replace_dst(
+            n(9),
+            vec![
+                (n(1), entry(1, 5)),
+                (n(3), entry(3, 5)),
+                (n(5), entry(5, 5)),
+            ],
+            &mut changed,
+            &mut retracted,
+        );
+        assert_eq!(changed.len(), 3);
+        assert!(retracted.is_empty());
+        let (mut changed, mut retracted) = (Vec::new(), Vec::new());
+        // Keep 3, retag 5, drop 1, add 2 and 7.
+        table.replace_dst(
+            n(9),
+            vec![
+                (n(2), entry(2, 5)),
+                (n(3), entry(3, 5)),
+                (n(5), entry(5, 6)),
+                (n(7), entry(7, 5)),
+            ],
+            &mut changed,
+            &mut retracted,
+        );
+        let keys: Vec<(NodeId, NodeId)> = changed.iter().map(|r| (r.dst, r.transit)).collect();
+        assert_eq!(keys, vec![(n(9), n(2)), (n(9), n(5)), (n(9), n(7))]);
+        assert_eq!(retracted, vec![(n(9), n(1))]);
+        assert_eq!(table.len(), 4);
+        // An empty row list retracts everything and leaves no empty list.
+        let (mut changed, mut retracted) = (Vec::new(), Vec::new());
+        table.replace_dst(n(9), Vec::new(), &mut changed, &mut retracted);
+        assert!(changed.is_empty());
+        assert_eq!(retracted.len(), 4);
+        assert!(table.is_empty());
+        assert_eq!(table, PricingTable::new());
     }
 
     #[test]
