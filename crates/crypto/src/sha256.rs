@@ -129,18 +129,13 @@ impl Sha256 {
             self.buffered += take;
             input = &input[take..];
             if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress_blocks(&mut self.state, &[self.buffer]);
                 self.buffered = 0;
             }
         }
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut buf = [0u8; 64];
-            buf.copy_from_slice(block);
-            self.compress(&buf);
-            input = rest;
-        }
+        let (blocks, rest) = input.as_chunks::<64>();
+        compress_blocks(&mut self.state, blocks);
+        input = rest;
         if !input.is_empty() {
             self.buffer[..input.len()].copy_from_slice(input);
             self.buffered = input.len();
@@ -157,65 +152,174 @@ impl Sha256 {
             for byte in &mut self.buffer[self.buffered..] {
                 *byte = 0;
             }
-            let block = self.buffer;
-            self.compress(&block);
+            compress_blocks(&mut self.state, &[self.buffer]);
             self.buffered = 0;
         }
         for byte in &mut self.buffer[self.buffered..56] {
             *byte = 0;
         }
         self.buffer[56..].copy_from_slice(&length_bits.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        compress_blocks(&mut self.state, &[self.buffer]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// Runs the compression function over `blocks` in order: through the
+/// CPU's SHA-256 instructions where the processor has them, in portable
+/// code elsewhere. Both compute the FIPS 180-4 function exactly; a test
+/// compares them on random states and blocks.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::available() {
+        // SAFETY: `available` confirmed at run time that this CPU has
+        // every feature `shani::compress_blocks` is compiled for.
+        unsafe { shani::compress_blocks(state, blocks) };
+        return;
+    }
+    for block in blocks {
+        compress_portable(state, block);
+    }
+}
+
+/// The FIPS 180-4 compression function on one block, in portable code.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for t in 16..64 {
+        let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+        let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+        w[t] = w[t - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[t - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for t in 0..64 {
+        let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(big_s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[t])
+            .wrapping_add(w[t]);
+        let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = big_s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
+}
+
+/// The compression function on the x86-64 SHA extensions: four rounds per
+/// `sha256rnds2` pair and the message schedule by `sha256msg1/2`, with
+/// the state held as the `ABEF`/`CDGH` lane pairs the instructions use.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has the instructions [`compress_blocks`] uses.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// The next four schedule words from the previous sixteen.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// Four rounds: schedule words `w` with round constants `4i..4i+4`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, i: usize) {
+        let k = &K[4 * i..4 * i + 4];
+        // SAFETY: `k` is four `u32`s, 16 readable bytes; the load has no
+        // alignment requirement.
+        let k = unsafe { _mm_loadu_si128(k.as_ptr().cast()) };
+        let wk = _mm_add_epi32(w, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`
+    /// ([`available`]).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // Byte order within each 32-bit lane: the message is big-endian.
+        let be = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `state` is 32 readable bytes; unaligned loads.
+        let (dcba, hgfe) = unsafe {
+            (
+                _mm_loadu_si128(state.as_ptr().cast()),
+                _mm_loadu_si128(state.as_ptr().add(4).cast()),
+            )
+        };
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p = block.as_ptr();
+            // SAFETY: each block is 64 readable bytes, so offsets 0, 16,
+            // 32 and 48 each start 16 readable bytes; unaligned loads.
+            let mut w = unsafe {
+                [
+                    _mm_loadu_si128(p.cast()),
+                    _mm_loadu_si128(p.add(16).cast()),
+                    _mm_loadu_si128(p.add(32).cast()),
+                    _mm_loadu_si128(p.add(48).cast()),
+                ]
+            }
+            .map(|x| _mm_shuffle_epi8(x, be));
+            for (i, &wi) in w.iter().enumerate() {
+                rounds4(&mut abef, &mut cdgh, wi, i);
+            }
+            for i in 4..16 {
+                let next = schedule(w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
+                w[i % 4] = next;
+                rounds4(&mut abef, &mut cdgh, next, i);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
-        for t in 16..64 {
-            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-            w[t] = w[t - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[t - 7])
-                .wrapping_add(s1);
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: `state` is 32 writable bytes; unaligned stores.
+        unsafe {
+            _mm_storeu_si128(state.as_mut_ptr().cast(), dcba);
+            _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), hgef);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for t in 0..64 {
-            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(big_s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[t])
-                .wrapping_add(w[t]);
-            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = big_s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
 }
 
@@ -283,6 +387,36 @@ mod tests {
                 h.update(chunk);
             }
             assert_eq!(h.finalize(), sha256(&data), "chunk size {chunk_size}");
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn hardware_rounds_match_portable_rounds() {
+        if !shani::available() {
+            return;
+        }
+        // A fixed xorshift stream: random states, and runs of one to five
+        // random blocks.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..64 {
+            let mut state: [u32; 8] = std::array::from_fn(|_| next() as u32);
+            let blocks: Vec<[u8; 64]> = (0..1 + case % 5)
+                .map(|_| std::array::from_fn(|_| next() as u8))
+                .collect();
+            let mut portable = state;
+            for block in &blocks {
+                compress_portable(&mut portable, block);
+            }
+            // SAFETY: `available` confirmed the CPU features above.
+            unsafe { shani::compress_blocks(&mut state, &blocks) };
+            assert_eq!(state, portable, "case {case}");
         }
     }
 

@@ -208,11 +208,6 @@ impl NeighborView {
         (!path.is_empty()).then_some(path.as_slice())
     }
 
-    /// The price `neighbor` advertised for `(dst, transit)`, if any.
-    pub fn price(&self, neighbor: NodeId, dst: NodeId, transit: NodeId) -> Option<i64> {
-        price_of(&self.advert(neighbor, dst)?.prices, transit)
-    }
-
     /// The advertised records as sorted `(neighbor, dst) → record` content
     /// (normalizes away storage artifacts like empty dense slots).
     fn content(&self) -> BTreeMap<(NodeId, NodeId), &Advert> {
@@ -535,6 +530,9 @@ mod tests {
         assert_eq!(view, same, "equality covers sparse rows");
 
         // Prices toward a forged destination take the same fallback.
+        let advertised = |view: &NeighborView, neighbor: NodeId, transit: NodeId| {
+            price_of(&view.advert(neighbor, forged)?.prices, transit)
+        };
         let price = |transit: NodeId, value: i64| PriceRow {
             dst: forged,
             transit,
@@ -545,9 +543,9 @@ mod tests {
         assert!(!view.learn_price(n(1), &price(n(3), 7)), "idempotent");
         assert!(view.learn_price(n(1), &price(n(2), 4)));
         assert!(view.learn_price(n(1), &price(n(3), 8)), "overwrite");
-        assert_eq!(view.price(n(1), forged, n(3)), Some(8));
-        assert_eq!(view.price(n(1), forged, n(2)), Some(4));
-        assert_eq!(view.price(n(4), forged, n(3)), None);
+        assert_eq!(advertised(&view, n(1), n(3)), Some(8));
+        assert_eq!(advertised(&view, n(1), n(2)), Some(4));
+        assert_eq!(advertised(&view, n(4), n(3)), None);
         assert_ne!(view, same, "equality covers sparse prices");
         // A price-only record for another forged id, and its retraction.
         let other = NodeId::new(u32::MAX);
@@ -565,7 +563,7 @@ mod tests {
         );
         assert!(view.retract_price(n(1), forged, n(2)));
         assert!(view.retract_price(n(1), forged, n(3)));
-        assert_eq!(view.price(n(1), forged, n(3)), None);
+        assert_eq!(advertised(&view, n(1), n(3)), None);
         assert_eq!(view, same, "retractions restore the route-only view");
         assert!(view.adverts.is_empty(), "no dense slots for forged ids");
     }

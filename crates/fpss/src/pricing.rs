@@ -39,32 +39,25 @@ pub fn vcg_payment_in(routes: &RouteCache, src: NodeId, dst: NodeId, k: NodeId) 
     if !best.transit_nodes().contains(&k) {
         return None;
     }
-    let avoid_tree = routes.tree_avoiding(src, k);
-    Some(payment_from_tree(routes.costs(), best, &avoid_tree, dst, k))
+    let detour = routes.tree_avoiding(src, k)[dst.index()]
+        .as_ref()
+        .map(PathMetric::cost);
+    Some(vcg_price(routes.costs(), best, detour, k))
 }
 
-/// The payment formula given the LCP and a prefetched `(src, k)` avoid
-/// tree — the shared core of [`vcg_payment_in`] and the per-source table
-/// builder (which hoists the avoid-tree handle out of its destination
-/// loop instead of re-fetching it per query).
+/// The payment formula `ĉ_k + d_{G−k} − d_G` given the LCP and the cost
+/// of the best `k`-avoiding detour — the shared core of
+/// [`vcg_payment_in`] and the per-source table builder.
 ///
 /// # Panics
 ///
-/// Panics if the avoid tree has no `dst` entry (the graph is not
-/// biconnected enough for the query).
-fn payment_from_tree(
-    costs: &CostVector,
-    best: &PathMetric,
-    avoid_tree: &[Option<PathMetric>],
-    dst: NodeId,
-    k: NodeId,
-) -> Money {
-    let detour = avoid_tree[dst.index()]
-        .as_ref()
-        .expect("biconnected graph admits a k-avoiding path");
+/// Panics if there is no detour (the graph is not biconnected enough for
+/// the query).
+fn vcg_price(costs: &CostVector, best: &PathMetric, detour: Option<Cost>, k: NodeId) -> Money {
+    let detour = detour.expect("biconnected graph admits a k-avoiding path");
     let c_k = costs.cost(k).value() as i64;
     let d = best.cost().value() as i64;
-    let d_avoid = detour.cost().value() as i64;
+    let d_avoid = detour.value() as i64;
     Money::new(c_k + d_avoid - d)
 }
 
@@ -72,23 +65,25 @@ fn payment_from_tree(
 /// `routes`' declared costs — one source's slice of
 /// [`expected_tables_in`], for callers (large-`n` sampled reference
 /// checks) that must not pay for all `n` sources.
+///
+/// Prices read only detour costs ([`RouteCache::costs_avoiding`]), so
+/// building the reference materializes the `src` tree and no avoid tree.
 pub fn expected_tables_for(routes: &RouteCache, src: NodeId) -> (RoutingTable, PricingTable) {
     let tree = routes.tree(src);
     let mut routing = RoutingTable::new();
     let mut pricing = PricingTable::new();
-    // The same transit recurs across many destinations of one source;
-    // fetch each (src, k) avoid-tree handle from the sparse index once
-    // and index it per destination.
-    let mut avoid_trees: std::collections::BTreeMap<NodeId, specfaith_graph::cache::AvoidTree> =
-        std::collections::BTreeMap::new();
+    // A price needs only the detour's cost, not its path. The same
+    // transit recurs across many destinations of one source, so each
+    // (src, k) detour-cost vector is computed once and indexed per
+    // destination.
+    let mut detours: Vec<Option<Vec<Option<Cost>>>> = vec![None; tree.len()];
     for entry in tree.iter().flatten() {
         let dst = entry.destination();
         routing.install(dst, entry.nodes().to_vec());
         for &k in entry.transit_nodes() {
-            let avoid_tree = avoid_trees
-                .entry(k)
-                .or_insert_with(|| routes.tree_avoiding(src, k));
-            let price = payment_from_tree(routes.costs(), entry, avoid_tree, dst, k);
+            let avoiding_k =
+                detours[k.index()].get_or_insert_with(|| routes.costs_avoiding(src, k));
+            let price = vcg_price(routes.costs(), entry, avoiding_k[dst.index()], k);
             pricing.insert(
                 dst,
                 k,

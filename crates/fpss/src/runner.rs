@@ -28,7 +28,8 @@ use std::sync::Arc;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReferenceCheck {
     /// Compare every node's tables (the default). Costs one LCP tree per
-    /// node plus one avoid tree per `(source, on-path transit)` pair.
+    /// node plus one detour-cost repair per `(source, on-path transit)`
+    /// pair.
     Full,
     /// Compare a deterministic, evenly spaced sample of `sources` nodes.
     /// The large-`n` (≥ 1k nodes) setting: reference cost becomes

@@ -55,9 +55,10 @@
 use crate::costs::CostVector;
 use crate::lcp::lcp_tree;
 use crate::path::PathMetric;
-use crate::repair::{repair_avoiding, repair_cost_change};
+use crate::repair::{repair_avoiding, repair_avoiding_costs, repair_cost_change};
 use crate::topology::Topology;
 use specfaith_core::id::NodeId;
+use specfaith_core::money::Cost;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -339,6 +340,19 @@ impl RouteCache {
             repair_avoiding(&self.topo, &self.costs, base, src, avoid).into()
         })
         .clone()
+    }
+
+    /// `d_{G−avoid}(src, ·)` alone: the costs of
+    /// [`RouteCache::tree_avoiding`]'s entries, repaired on bare costs
+    /// from this cache's `src` tree ([`repair_avoiding_costs`]) without
+    /// building a path. Not memoized: a reference check asks for each
+    /// pair once per source, and nothing is added to the avoid index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `avoid == src`.
+    pub fn costs_avoiding(&self, src: NodeId, avoid: NodeId) -> Vec<Option<Cost>> {
+        repair_avoiding_costs(&self.topo, &self.costs, self.tree(src), src, avoid)
     }
 
     /// The lowest-cost path `src → dst`, or `None` if unreachable.

@@ -114,6 +114,98 @@ pub fn repair_avoiding(
     repaired
 }
 
+/// The costs of [`repair_avoiding`]'s tree without its paths: entry
+/// `dst.index()` is `d_{G−avoid}(src, dst)`, or `None` where `dst` is
+/// unreachable without `avoid` (and at `avoid` itself).
+///
+/// A VCG price needs only this distance, so the detached-region rebuild
+/// of [`repair_avoiding`] runs here on bare costs: no path is cloned or
+/// extended. A minimum cost does not depend on how ties between paths
+/// break, so every entry equals the cost of the matching
+/// [`repair_avoiding`] (and fresh
+/// [`lcp_tree_avoiding`](crate::lcp::lcp_tree_avoiding)) entry.
+///
+/// # Panics
+///
+/// Panics if `avoid == src`, if the cost vector's arity does not match the
+/// topology, or if `base` is not sized to the topology.
+pub fn repair_avoiding_costs(
+    topo: &Topology,
+    costs: &CostVector,
+    base: &[Option<PathMetric>],
+    src: NodeId,
+    avoid: NodeId,
+) -> Vec<Option<Cost>> {
+    assert_eq!(
+        topo.num_nodes(),
+        costs.len(),
+        "cost vector arity must match topology"
+    );
+    assert_eq!(
+        base.len(),
+        topo.num_nodes(),
+        "base tree arity must match topology"
+    );
+    assert!(avoid != src, "cannot avoid the source of the LCP query");
+    let n = topo.num_nodes();
+    let mut detached = vec![false; n];
+    let mut dist: Vec<Option<Cost>> = Vec::with_capacity(n);
+    let mut region = Vec::new();
+    for (i, entry) in base.iter().enumerate() {
+        let hit = entry.as_ref().is_some_and(|p| p.contains(avoid));
+        detached[i] = hit;
+        if hit {
+            region.push(i);
+        }
+        dist.push(entry.as_ref().filter(|_| !hit).map(PathMetric::cost));
+    }
+    // Seed every detached node (but `avoid`) from its intact neighbors,
+    // each charging its transit cost. The source, which would charge
+    // nothing, seeds no one: a neighbor's unique LCP is the direct edge,
+    // which detaches only when the neighbor is `avoid`.
+    let mut heap: BinaryHeap<Reverse<(Cost, usize)>> = BinaryHeap::new();
+    for &x_idx in &region {
+        let x = NodeId::from_index(x_idx);
+        if x == avoid {
+            continue;
+        }
+        for &u in topo.neighbors(x) {
+            if detached[u.index()] {
+                continue;
+            }
+            if let Some(d) = dist[u.index()] {
+                let candidate = d + costs.cost(u);
+                if dist[x_idx].is_none_or(|cur| candidate < cur) {
+                    dist[x_idx] = Some(candidate);
+                }
+            }
+        }
+        if let Some(d) = dist[x_idx] {
+            heap.push(Reverse((d, x_idx)));
+        }
+    }
+    // Dijkstra restricted to the detached region, never entering `avoid`.
+    let mut settled = vec![false; n];
+    while let Some(Reverse((d, at))) = heap.pop() {
+        if settled[at] || dist[at] != Some(d) {
+            continue;
+        }
+        settled[at] = true;
+        let candidate = d + costs.cost(NodeId::from_index(at));
+        for &next in topo.neighbors(NodeId::from_index(at)) {
+            let i = next.index();
+            if !detached[i] || settled[i] || next == avoid {
+                continue;
+            }
+            if dist[i].is_none_or(|cur| candidate < cur) {
+                dist[i] = Some(candidate);
+                heap.push(Reverse((candidate, i)));
+            }
+        }
+    }
+    dist
+}
+
 /// Repairs `base` — the LCP tree rooted at `src` under `old_costs` — into
 /// the tree under `new_costs`, where the two vectors differ at exactly the
 /// node `changed` (see the [module docs](self) for the increase/decrease
@@ -341,8 +433,11 @@ fn rebuild_region(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::figure1;
+    use crate::generators::{figure1, grid, random_biconnected, scale_free, star};
     use crate::lcp::{lcp_tree, lcp_tree_avoiding};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn removal_repair_matches_fresh_on_figure1() {
@@ -427,6 +522,44 @@ mod tests {
         assert_eq!(repaired, lcp_tree_avoiding(&topo, &costs, leaf, Some(hub)));
         let reachable = repaired.iter().flatten().count();
         assert_eq!(reachable, 1, "only the source survives losing the hub");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Detour costs repaired on bare costs equal the costs of the
+        /// fresh avoid tree for every `(src, avoid)` pair, across every
+        /// generator family — the star's hub is a cut vertex, so
+        /// unreachable entries are covered too.
+        #[test]
+        fn avoiding_costs_equal_fresh_avoid_tree_costs(
+            seed in 0u64..400,
+            n in 6usize..16,
+            family in 0usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let topo = match family {
+                0 => star(n),
+                1 => grid(3, n / 3),
+                2 => scale_free(n, 2, &mut rng),
+                _ => random_biconnected(n, n / 2, &mut rng),
+            };
+            let costs = CostVector::random(topo.num_nodes(), 0, 15, &mut rng);
+            for src in topo.nodes() {
+                let base = lcp_tree(&topo, &costs, src);
+                for avoid in topo.nodes().filter(|&v| v != src) {
+                    let fresh: Vec<Option<Cost>> =
+                        lcp_tree_avoiding(&topo, &costs, src, Some(avoid))
+                            .iter()
+                            .map(|p| p.as_ref().map(PathMetric::cost))
+                            .collect();
+                    prop_assert_eq!(
+                        repair_avoiding_costs(&topo, &costs, &base, src, avoid),
+                        fresh
+                    );
+                }
+            }
+        }
     }
 
     #[test]

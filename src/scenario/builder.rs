@@ -409,7 +409,7 @@ impl ScenarioBuilder {
     /// VCG reference: [`ReferenceCheck::Full`] (default) verifies every
     /// node; [`ReferenceCheck::Sampled`] verifies a deterministic sample
     /// — the large-`n` setting, where full verification costs one LCP
-    /// tree per node plus avoid trees for every on-path transit.
+    /// tree per node plus a detour-cost repair for every on-path transit.
     #[must_use]
     pub fn reference_check(mut self, check: ReferenceCheck) -> Self {
         self.reference_check = check;

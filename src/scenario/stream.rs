@@ -280,9 +280,9 @@ impl Scenario {
     ///
     /// Streamed re-convergence draws reference caches from an eager
     /// scope seeded from the previous fixed point's pinned cache, so
-    /// each event's verification pays one avoid-tree repair instead of
-    /// a cold rebuild, and superseded generations are dropped as the
-    /// pin rolls forward.
+    /// each event's verification repairs the previous fixed point's
+    /// trees instead of rebuilding them cold, and superseded generations
+    /// are dropped as the pin rolls forward.
     pub fn stream_session(&self, seed: u64) -> StreamSession {
         let scenario = self.with_route_scope(CacheScope::eager());
         let engine = match &scenario.engine {
