@@ -45,6 +45,27 @@ impl Advert {
     }
 }
 
+/// One neighbor's records for the destinations below
+/// [`DENSE_ROUTE_SLOTS`], by destination index.
+#[derive(Clone, Debug)]
+struct DenseAdverts {
+    neighbor: NodeId,
+    /// `adverts[dst.index()]`: what `neighbor` advertised toward `dst`.
+    adverts: Vec<Advert>,
+    /// `path_bits[dst.index()]`: a 64-bit Bloom summary of that record's
+    /// path, the union of [`path_bits`] over the nodes on it. Kept in a
+    /// column of its own, so a scan for one node reads eight bytes per
+    /// record and opens a path only when both of the node's bits are set.
+    path_bits: Vec<u64>,
+}
+
+/// `node`'s two bits in [`DenseAdverts::path_bits`]: its id modulo 64
+/// and the top six bits of a multiplicative hash of it.
+fn path_bits(node: NodeId) -> u64 {
+    let id = u64::from(node.raw());
+    (1 << (id % 64)) | (1 << (id.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58))
+}
+
 /// The price for `transit` in `(transit, price)` rows sorted by transit.
 fn price_of(prices: &[(NodeId, i64)], transit: NodeId) -> Option<i64> {
     let at = prices.binary_search_by_key(&transit, |(k, _)| *k).ok()?;
@@ -61,21 +82,20 @@ fn price_of(prices: &[(NodeId, i64)], transit: NodeId) -> Option<i64> {
 /// read and a binary search in a slice of a few prices — never a tree
 /// walk. Destinations at or beyond [`DENSE_ROUTE_SLOTS`] (forged ids) take
 /// the sparse fallback, for prices as well as routes.
+///
+/// There is no reverse index from path nodes to destinations. The one
+/// query that needs one, [`NeighborView::dsts_through`], runs only when a
+/// declared cost is learned or changed, far less often than routes are
+/// learned, so it scans the records instead of every `learn_route` paying
+/// for an index. A 64-bit Bloom summary of each dense record's path, kept
+/// in a column beside the records, lets the scan pass over most records
+/// without reading their paths.
 #[derive(Clone, Debug, Default)]
 pub struct NeighborView {
-    /// Per neighbor, `adverts[dst.index()]` = what it advertised toward
-    /// `dst`.
-    adverts: Vec<(NodeId, Vec<Advert>)>,
+    /// Per neighbor, its records by destination index.
+    dense: Vec<DenseAdverts>,
     /// Records whose destination index does not fit the dense table.
     sparse: BTreeMap<(NodeId, NodeId), Advert>,
-    /// Reverse membership index: `node → (dst → occurrences)` counts how
-    /// many stored routes toward `dst` contain `node` anywhere on their
-    /// path. Maintained incrementally by [`NeighborView::learn_route`]
-    /// (an accounting view of the stored rows — deliberately excluded
-    /// from equality) so [`NeighborView::dsts_through`] answers the
-    /// flood-time invalidation query — *which destinations could a newly
-    /// learned cost affect?* — without scanning every stored path.
-    through: BTreeMap<NodeId, BTreeMap<NodeId, u32>>,
 }
 
 impl NeighborView {
@@ -84,41 +104,35 @@ impl NeighborView {
         Self::default()
     }
 
-    fn index_path(
-        through: &mut BTreeMap<NodeId, BTreeMap<NodeId, u32>>,
-        dst: NodeId,
-        path: &[NodeId],
-    ) {
-        for &v in path {
-            *through.entry(v).or_default().entry(dst).or_insert(0) += 1;
-        }
-    }
-
-    fn unindex_path(
-        through: &mut BTreeMap<NodeId, BTreeMap<NodeId, u32>>,
-        dst: NodeId,
-        path: &[NodeId],
-    ) {
-        for &v in path {
-            let per_node = through.get_mut(&v).expect("indexed path node");
-            let count = per_node.get_mut(&dst).expect("indexed dst");
-            *count -= 1;
-            if *count == 0 {
-                per_node.remove(&dst);
-                if per_node.is_empty() {
-                    through.remove(&v);
-                }
-            }
-        }
-    }
-
     /// The record `neighbor` holds for `dst`, if any.
     fn advert(&self, neighbor: NodeId, dst: NodeId) -> Option<&Advert> {
         if dst.index() >= DENSE_ROUTE_SLOTS {
             return self.sparse.get(&(neighbor, dst));
         }
-        let (_, adverts) = self.adverts.iter().find(|(b, _)| *b == neighbor)?;
-        adverts.get(dst.index())
+        let records = self.dense.iter().find(|r| r.neighbor == neighbor)?;
+        records.adverts.get(dst.index())
+    }
+
+    /// `neighbor`'s dense records, created if missing and grown to hold
+    /// `slot`.
+    fn dense_mut(&mut self, neighbor: NodeId, slot: usize) -> &mut DenseAdverts {
+        let at = match self.dense.iter().position(|r| r.neighbor == neighbor) {
+            Some(at) => at,
+            None => {
+                self.dense.push(DenseAdverts {
+                    neighbor,
+                    adverts: Vec::new(),
+                    path_bits: Vec::new(),
+                });
+                self.dense.len() - 1
+            }
+        };
+        let records = &mut self.dense[at];
+        if slot >= records.adverts.len() {
+            records.adverts.resize_with(slot + 1, Advert::default);
+            records.path_bits.resize(slot + 1, 0);
+        }
+        records
     }
 
     /// The record `neighbor` holds for `dst`, created empty if missing.
@@ -126,18 +140,7 @@ impl NeighborView {
         if dst.index() >= DENSE_ROUTE_SLOTS {
             return self.sparse.entry((neighbor, dst)).or_default();
         }
-        let at = match self.adverts.iter().position(|(b, _)| *b == neighbor) {
-            Some(at) => at,
-            None => {
-                self.adverts.push((neighbor, Vec::new()));
-                self.adverts.len() - 1
-            }
-        };
-        let adverts = &mut self.adverts[at].1;
-        if dst.index() >= adverts.len() {
-            adverts.resize_with(dst.index() + 1, Advert::default);
-        }
-        &mut adverts[dst.index()]
+        &mut self.dense_mut(neighbor, dst.index()).adverts[dst.index()]
     }
 
     /// Records a route advertisement from `neighbor`. Returns `true` if
@@ -147,24 +150,57 @@ impl NeighborView {
         if row.path.first() != Some(&neighbor) || row.path.last() != Some(&row.dst) {
             return false;
         }
-        let advert = self.advert_mut(neighbor, row.dst);
-        if advert.path == row.path {
+        let slot = row.dst.index();
+        let (path, bits) = if slot >= DENSE_ROUTE_SLOTS {
+            let advert = self.sparse.entry((neighbor, row.dst)).or_default();
+            (&mut advert.path, None)
+        } else {
+            let records = self.dense_mut(neighbor, slot);
+            (
+                &mut records.adverts[slot].path,
+                Some(&mut records.path_bits[slot]),
+            )
+        };
+        if *path == row.path {
             return false;
         }
-        let old = std::mem::replace(&mut advert.path, row.path.clone());
-        Self::unindex_path(&mut self.through, row.dst, &old);
-        Self::index_path(&mut self.through, row.dst, &row.path);
+        path.clone_from(&row.path);
+        if let Some(bits) = bits {
+            *bits = row.path.iter().fold(0, |bits, &v| bits | path_bits(v));
+        }
         true
     }
 
     /// The destinations with at least one stored route whose path visits
     /// `node` (as transit, origin, or the destination itself) — the
-    /// invalidation set of a newly learned declared cost for `node`.
-    pub fn dsts_through(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.through
-            .get(&node)
-            .into_iter()
-            .flat_map(|dsts| dsts.keys().copied())
+    /// invalidation set of a newly learned declared cost for `node` —
+    /// sorted and duplicate-free.
+    ///
+    /// A scan of every stored record, dense and sparse. Each dense record
+    /// carries a 64-bit Bloom summary of its path, which rules most
+    /// records out without reading the path. Stored paths change only
+    /// through [`NeighborView::learn_route`], so the scan sees exactly the
+    /// routes the node holds at the time of the query.
+    pub fn dsts_through(&self, node: NodeId) -> Vec<NodeId> {
+        let mask = path_bits(node);
+        let dense = self.dense.iter().flat_map(|records| {
+            let paths = records.path_bits.iter().zip(&records.adverts);
+            paths
+                .enumerate()
+                .filter(move |(_, (&bits, advert))| {
+                    bits & mask == mask && advert.path.contains(&node)
+                })
+                .map(|(slot, _)| NodeId::from_index(slot))
+        });
+        let sparse = self
+            .sparse
+            .iter()
+            .filter(|(_, advert)| advert.path.contains(&node))
+            .map(|(&(_, dst), _)| dst);
+        let mut dsts: Vec<NodeId> = dense.chain(sparse).collect();
+        dsts.sort_unstable();
+        dsts.dedup();
+        dsts
     }
 
     /// Records a price advertisement from `neighbor`. Returns `true` if
@@ -211,11 +247,13 @@ impl NeighborView {
     /// The advertised records as sorted `(neighbor, dst) → record` content
     /// (normalizes away storage artifacts like empty dense slots).
     fn content(&self) -> BTreeMap<(NodeId, NodeId), &Advert> {
-        let dense = self.adverts.iter().flat_map(|(neighbor, adverts)| {
-            adverts
+        let dense = self.dense.iter().flat_map(|records| {
+            let neighbor = records.neighbor;
+            records
+                .adverts
                 .iter()
                 .enumerate()
-                .map(move |(slot, advert)| ((*neighbor, NodeId::from_index(slot)), advert))
+                .map(move |(slot, advert)| ((neighbor, NodeId::from_index(slot)), advert))
         });
         dense
             .chain(self.sparse.iter().map(|(&key, advert)| (key, advert)))
@@ -362,56 +400,103 @@ pub fn price_entries_to(
     view: &NeighborView,
     dst: NodeId,
 ) -> Vec<(NodeId, PriceEntry)> {
-    let transits: &[NodeId] = if path.len() <= 2 {
-        &[]
-    } else {
-        &path[1..path.len() - 1]
-    };
+    let transits = transits(path);
     if transits.is_empty() {
         return Vec::new();
     }
-    let Some(d_me) = data1.path_cost(path) else {
+    let Some(pricing) = DstPricing::new(neighbors, data1, path, view, dst) else {
         return Vec::new();
     };
-    let d_me = d_me.value() as i64;
-    // Per-neighbor inputs — advertised path and prices, the path's
-    // locally-costed distance, the neighbor's declared cost — are pure
-    // functions of `(b, dst)`, so they are read once here rather than once
-    // per transit. Neighbors that contribute no candidate are left out.
-    let witnesses: Vec<Witness<'_>> = neighbors
+    let mut rows: Vec<(NodeId, PriceEntry)> = transits
         .iter()
-        .filter_map(|&b| {
-            if b == dst {
-                return Some(Witness {
-                    b,
-                    path: &[],
-                    prices: &[],
-                    d_b: 0,
-                    c_b: 0,
-                });
-            }
-            let advert = view.advert(b, dst)?;
-            if advert.path.is_empty() {
-                return None;
-            }
-            Some(Witness {
-                b,
-                path: &advert.path,
-                prices: &advert.prices,
-                d_b: data1.path_cost(&advert.path)?.value() as i64,
-                c_b: data1.declared(b)?.value() as i64,
-            })
-        })
+        .filter_map(|&k| Some((k, pricing.entry(k)?)))
         .collect();
-    let mut rows = Vec::with_capacity(transits.len());
-    for &k in transits {
-        let Some(c_k) = data1.declared(k) else {
-            continue;
-        };
-        let c_k = c_k.value() as i64;
+    // Paths visit transits in route order; announcements and diffs expect
+    // transit order (the order a full-table rebuild iterates in).
+    rows.sort_by_key(|(k, _)| *k);
+    rows
+}
+
+/// The transits of `path`: every node but its two endpoints.
+pub(crate) fn transits(path: &[NodeId]) -> &[NodeId] {
+    if path.len() <= 2 {
+        &[]
+    } else {
+        &path[1..path.len() - 1]
+    }
+}
+
+/// The inputs to pricing the transits of one destination: this node's
+/// locally-costed distance along its route and each neighbor's witness.
+/// Building it once serves any number of [`DstPricing::entry`] calls —
+/// every transit of a full destination recompute, or only the changed
+/// keys of a row-scoped one.
+pub(crate) struct DstPricing<'a> {
+    data1: &'a TransitCostList,
+    /// `d(me, dst)`: the cost of this node's installed route.
+    d_me: i64,
+    /// Every neighbor that contributes a candidate toward `dst`.
+    witnesses: Vec<Witness<'a>>,
+}
+
+impl<'a> DstPricing<'a> {
+    /// The pricing inputs of `dst` for a node whose route to it is `path`;
+    /// `None` when the route's cost is not known yet (no entry can be
+    /// priced).
+    pub(crate) fn new(
+        neighbors: &[NodeId],
+        data1: &'a TransitCostList,
+        path: &[NodeId],
+        view: &'a NeighborView,
+        dst: NodeId,
+    ) -> Option<Self> {
+        let d_me = data1.path_cost(path)?.value() as i64;
+        // Per-neighbor inputs — advertised path and prices, the path's
+        // locally-costed distance, the neighbor's declared cost — are pure
+        // functions of `(b, dst)`, so they are read once here rather than
+        // once per transit. Neighbors that contribute no candidate are left
+        // out.
+        let witnesses = neighbors
+            .iter()
+            .filter_map(|&b| {
+                if b == dst {
+                    return Some(Witness {
+                        b,
+                        path: &[],
+                        prices: &[],
+                        d_b: 0,
+                        c_b: 0,
+                    });
+                }
+                let advert = view.advert(b, dst)?;
+                if advert.path.is_empty() {
+                    return None;
+                }
+                Some(Witness {
+                    b,
+                    path: &advert.path,
+                    prices: &advert.prices,
+                    d_b: data1.path_cost(&advert.path)?.value() as i64,
+                    c_b: data1.declared(b)?.value() as i64,
+                })
+            })
+            .collect();
+        Some(DstPricing {
+            data1,
+            d_me,
+            witnesses,
+        })
+    }
+
+    /// The DATA3* entry for transit `k` (one of the route's transits): the
+    /// VCG detour and candidate rule of [`recompute_prices`], the one place
+    /// it is written down. `None` when `k`'s declared cost is unknown or
+    /// no neighbor offers a `k`-avoiding candidate.
+    pub(crate) fn entry(&self, k: NodeId) -> Option<PriceEntry> {
+        let c_k = self.data1.declared(k)?.value() as i64;
         let mut best: Option<i64> = None;
         let mut tags = TagSet::new();
-        for w in &witnesses {
+        for w in &self.witnesses {
             if w.b == k {
                 // Problem partitioning (FPSS footnote 8): the priced
                 // node's own advertisements are never used to price it.
@@ -425,7 +510,7 @@ pub fn price_entries_to(
             } else {
                 w.d_b
             };
-            let candidate = c_k + w.c_b + detour - d_me;
+            let candidate = c_k + w.c_b + detour - self.d_me;
             match best {
                 Some(cur) if candidate > cur => {}
                 Some(cur) if candidate == cur => {
@@ -437,20 +522,11 @@ pub fn price_entries_to(
                 }
             }
         }
-        if let Some(price) = best {
-            rows.push((
-                k,
-                PriceEntry {
-                    price: Money::new(price),
-                    tags,
-                },
-            ));
-        }
+        Some(PriceEntry {
+            price: Money::new(best?),
+            tags,
+        })
     }
-    // Paths visit transits in route order; announcements and diffs expect
-    // transit order (the order a full-table rebuild iterates in).
-    rows.sort_by_key(|(k, _)| *k);
-    rows
 }
 
 /// One neighbor's inputs to the pricing of one destination.
@@ -565,7 +641,35 @@ mod tests {
         assert!(view.retract_price(n(1), forged, n(3)));
         assert_eq!(advertised(&view, n(1), n(3)), None);
         assert_eq!(view, same, "retractions restore the route-only view");
-        assert!(view.adverts.is_empty(), "no dense slots for forged ids");
+        assert!(view.dense.is_empty(), "no dense slots for forged ids");
+    }
+
+    #[test]
+    fn dsts_through_scans_current_paths() {
+        let mut view = NeighborView::new();
+        let forged = NodeId::new(DENSE_ROUTE_SLOTS as u32 + 7);
+        let route = |dst: NodeId, path: &[u32]| RouteRow {
+            dst,
+            path: path.iter().map(|&i| n(i)).chain([dst]).collect(),
+        };
+        view.learn_route(n(1), &route(n(5), &[1, 3]));
+        view.learn_route(n(2), &route(n(5), &[2, 3]));
+        view.learn_route(n(2), &route(n(4), &[2]));
+        view.learn_route(n(1), &route(forged, &[1, 3]));
+        view.learn_route(n(2), &route(n(9), &[2, 6]));
+        // 67 and 70 share the low path bits of 3 and 6.
+        view.learn_route(n(2), &route(n(70), &[2, 67]));
+        // Duplicates across neighbors are reported once; forged ids last.
+        assert_eq!(view.dsts_through(n(3)), vec![n(5), forged]);
+        assert_eq!(view.dsts_through(n(2)), vec![n(4), n(5), n(9), n(70)]);
+        // A destination is on its own paths; unknown nodes are on none.
+        assert_eq!(view.dsts_through(forged), vec![forged]);
+        assert!(view.dsts_through(n(8)).is_empty());
+        // An overwritten path no longer counts.
+        view.learn_route(n(2), &route(n(9), &[2]));
+        assert_eq!(view.dsts_through(n(6)), Vec::<NodeId>::new());
+        view.learn_route(n(1), &route(forged, &[1]));
+        assert_eq!(view.dsts_through(n(3)), vec![n(5)]);
     }
 
     #[test]

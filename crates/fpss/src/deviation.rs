@@ -48,9 +48,10 @@ pub trait RationalStrategy: fmt::Debug {
         false
     }
 
-    /// Whether the destination-scoped incremental recompute fast path
-    /// ([`crate::node::FpssCore::recompute_dsts`]) may serve this
-    /// strategy. Safe exactly when the strategy's construction-phase
+    /// Whether the scoped incremental recompute fast paths
+    /// ([`crate::node::FpssCore::recompute_dsts`] and the row-scoped
+    /// pricing of [`crate::node::FpssCore::apply_pricing_update`]) may
+    /// serve this strategy. Safe exactly when the strategy's construction-phase
     /// *computation* hooks — [`RationalStrategy::announce_routing`],
     /// [`RationalStrategy::announce_pricing`],
     /// [`RationalStrategy::install_own_pricing`] — are the identity:

@@ -7,7 +7,8 @@
 //! copies of `P`'s inputs.
 
 use crate::compute::{
-    best_route_to, price_entries_to, recompute_prices, recompute_routes, NeighborView,
+    best_route_to, price_entries_to, recompute_prices, recompute_routes, transits, DstPricing,
+    NeighborView,
 };
 use crate::deviation::{Faithful, RationalStrategy};
 use crate::msg::{FpssMsg, Packet, PriceRow, RouteRow};
@@ -178,32 +179,33 @@ impl FpssCore {
     /// affect — the flood-time counterpart of the destination-scoped
     /// recompute.
     ///
-    /// Soundness: declared costs are first-write-wins, so learning
-    /// `origin`'s cost can only *enable* candidates that were previously
-    /// skipped for an unknown cost. Every such candidate — a routing
-    /// candidate whose advertised path crosses `origin`, a pricing
-    /// witness `b = origin`, or `origin` newly becoming a destination —
-    /// involves `origin` on some stored advertised path (advertised paths
-    /// start at the advertising neighbor, so `b = origin` rows index
-    /// themselves) or is `origin` itself. Destinations outside this set
-    /// have bit-identical recompute inputs before and after the learn,
-    /// so their rows provably cannot change; pass the set to
-    /// [`FpssCore::recompute_dsts`] for byte-identical results at
-    /// flood-proportional cost.
+    /// The set is [`NeighborView::dsts_through`] — a scan of every stored
+    /// advertised path for `origin` — plus `origin` itself. Soundness:
+    /// declared costs are first-write-wins, so learning `origin`'s cost can
+    /// only *enable* candidates that were previously skipped for an
+    /// unknown cost. Every such candidate — a routing candidate whose
+    /// advertised path crosses `origin`, a pricing witness `b = origin`, or
+    /// `origin` newly becoming a destination — involves `origin` on some
+    /// stored advertised path (advertised paths start at the advertising
+    /// neighbor, so the scan finds `b = origin` rows too) or is `origin`
+    /// itself. Destinations outside this set have bit-identical recompute
+    /// inputs before and after the learn, so their rows provably cannot
+    /// change; pass the set to [`FpssCore::recompute_dsts`] for
+    /// byte-identical results at flood-proportional cost.
     ///
     /// The same argument covers streaming *overwrites*
     /// ([`FpssCore::update_cost`], which can move a cost in either
     /// direction): every routing or pricing term that reads `origin`'s
     /// cost — a candidate path crossing it, this node's installed path
     /// cost `d_me`, a pricing witness `b = origin` (whose advertised path
-    /// starts at `origin` and is therefore indexed), or `origin` as the
-    /// destination itself — places `origin` on a stored advertised path or
-    /// is `origin`, so the affected set is sound for cost changes too.
+    /// starts at `origin`), or `origin` as the destination itself — places
+    /// `origin` on a stored advertised path or is `origin`, so the scan
+    /// finds every affected destination for cost changes too.
     ///
     /// The set comes sorted and duplicate-free, as
     /// [`FpssCore::recompute_dsts`] expects it.
     pub fn dsts_affected_by_cost(&self, origin: NodeId) -> Vec<NodeId> {
-        let mut dsts: Vec<NodeId> = self.view.dsts_through(origin).collect();
+        let mut dsts = self.view.dsts_through(origin);
         if let Err(at) = dsts.binary_search(&origin) {
             dsts.insert(at, origin);
         }
@@ -250,14 +252,24 @@ impl FpssCore {
                 dsts.push(row.dst);
             }
         }
-        self.refresh(dsts, true, strategy)
+        self.refresh(dsts, strategy, Self::recompute_dsts)
     }
 
     /// Records a neighbor's pricing update (rows and retractions) and
-    /// recomputes what it invalidated, as
-    /// [`FpssCore::apply_routing_update`] does; `None` when the view did
-    /// not change. Advertised prices are not a routing input, so the
-    /// scoped path leaves routing rows alone.
+    /// recomputes what it invalidated; `None` when the view did not
+    /// change. Strategies without
+    /// [`RationalStrategy::dst_scoped_recompute_safe`] get the full
+    /// recompute, as in [`FpssCore::apply_routing_update`].
+    ///
+    /// The scoped path is row-scoped. Neighbor `from`'s price for transit
+    /// `k` toward `dst` is read only when this node prices `k` toward
+    /// `dst` ([`price_entries_to`]), and advertised prices are not a
+    /// routing input. So each changed view row `(dst, k)`, retractions
+    /// included, re-derives only the entry `(dst, k)`, and only when `k`
+    /// is a transit on this node's route to `dst`: no other entry has a
+    /// changed input, and an off-route key has no entry to change. The
+    /// keys are handled in `(dst, k)` order, so changed rows and
+    /// retractions come out in the order a full recompute announces them.
     pub fn apply_pricing_update(
         &mut self,
         from: NodeId,
@@ -265,18 +277,18 @@ impl FpssCore {
         retractions: &[(NodeId, NodeId)],
         strategy: &mut dyn RationalStrategy,
     ) -> Option<TableDelta> {
-        let mut dsts = Vec::new();
+        let mut keys = Vec::new();
         for row in rows {
             if self.view.learn_price(from, row) {
-                dsts.push(row.dst);
+                keys.push((row.dst, row.transit));
             }
         }
         for &(dst, transit) in retractions {
             if self.view.retract_price(from, dst, transit) {
-                dsts.push(dst);
+                keys.push((dst, transit));
             }
         }
-        self.refresh(dsts, false, strategy)
+        self.refresh(keys, strategy, Self::reprice)
     }
 
     /// Recomputes after `origin`'s declared cost was learned or changed:
@@ -287,29 +299,70 @@ impl FpssCore {
         origin: NodeId,
         strategy: &mut dyn RationalStrategy,
     ) -> TableDelta {
+        if !strategy.dst_scoped_recompute_safe() {
+            return self.recompute_for(strategy);
+        }
         let dsts = self.dsts_affected_by_cost(origin);
-        self.refresh(dsts, true, strategy)
-            .expect("the origin itself is always affected")
+        self.recompute_dsts(&dsts)
     }
 
-    /// Recomputes after the inputs of `dsts` (any order, duplicates
-    /// allowed) changed; `None` when nothing did.
-    fn refresh(
+    /// Recomputes after the inputs keyed by `keys` (any order, duplicates
+    /// allowed) changed — through `scoped` when `strategy` allows it, else
+    /// in full; `None` when nothing changed.
+    fn refresh<K: Ord>(
         &mut self,
-        mut dsts: Vec<NodeId>,
-        routing_changed: bool,
+        mut keys: Vec<K>,
         strategy: &mut dyn RationalStrategy,
+        scoped: fn(&mut Self, &[K]) -> TableDelta,
     ) -> Option<TableDelta> {
-        if dsts.is_empty() {
+        if keys.is_empty() {
             return None;
         }
         if !strategy.dst_scoped_recompute_safe() {
-            let me = self.me;
-            return Some(self.recompute_with(|honest| strategy.install_own_pricing(me, honest)));
+            return Some(self.recompute_for(strategy));
         }
-        dsts.sort_unstable();
-        dsts.dedup();
-        Some(self.recompute_dsts(&dsts, routing_changed))
+        keys.sort_unstable();
+        keys.dedup();
+        Some(scoped(self, &keys))
+    }
+
+    /// The full recompute for a node playing `strategy`, its pricing
+    /// passed through [`RationalStrategy::install_own_pricing`].
+    fn recompute_for(&mut self, strategy: &mut dyn RationalStrategy) -> TableDelta {
+        let me = self.me;
+        self.recompute_with(|honest| strategy.install_own_pricing(me, honest))
+    }
+
+    /// Re-derives the pricing entries of the changed view keys `(dst,
+    /// transit)` (sorted, duplicate-free), per
+    /// [`FpssCore::apply_pricing_update`]; routing rows are untouched.
+    fn reprice(&mut self, keys: &[(NodeId, NodeId)]) -> TableDelta {
+        let mut changed_prices = Vec::new();
+        let mut retractions = Vec::new();
+        for group in keys.chunk_by(|a, b| a.0 == b.0) {
+            let dst = group[0].0;
+            let Some(path) = self.routes.path(dst) else {
+                continue;
+            };
+            let on_route = transits(path);
+            // Built on the first on-route key: most changed keys are off
+            // the route and need no pricing inputs at all.
+            let mut pricing = None;
+            for &(_, k) in group {
+                if !on_route.contains(&k) {
+                    continue;
+                }
+                let entry = pricing
+                    .get_or_insert_with(|| {
+                        DstPricing::new(&self.neighbors, &self.data1, path, &self.view, dst)
+                    })
+                    .as_ref()
+                    .and_then(|pricing| pricing.entry(k));
+                self.prices
+                    .set_entry(dst, k, entry, &mut changed_prices, &mut retractions);
+            }
+        }
+        (Vec::new(), changed_prices, retractions)
     }
 
     /// Recomputes routing and pricing from the current inputs, installing
@@ -351,19 +404,21 @@ impl FpssCore {
     }
 
     /// Destination-scoped faithful recomputation: updates only the table
-    /// rows of `dsts`, producing **byte-identical** tables and announced
-    /// rows to a full [`FpssCore::recompute`] whenever only those
-    /// destinations' inputs changed since the last recomputation.
+    /// rows of `dsts` — routing and pricing — producing **byte-identical**
+    /// tables and announced rows to a full [`FpssCore::recompute`]
+    /// whenever only those destinations' inputs changed since the last
+    /// recomputation.
     ///
     /// Soundness: a destination's routing row is a pure function of that
     /// destination's advertised routes and DATA1 ([`best_route_to`]), and
     /// its pricing rows of those plus its advertised prices
     /// ([`price_entries_to`]) — so rows outside `dsts` cannot differ from
-    /// what the last full recompute installed. Callers pass
-    /// `routing_changed = false` for price-only input changes (advertised
-    /// prices are not a routing input). DATA1 changes invalidate the
-    /// destinations of [`FpssCore::dsts_affected_by_cost`]. `dsts` must be
-    /// sorted and duplicate-free: the changed rows come out in its order.
+    /// what the last full recompute installed. Routing updates invalidate
+    /// the destinations of their changed rows, DATA1 changes those of
+    /// [`FpssCore::dsts_affected_by_cost`]; price-only changes take the
+    /// narrower row-scoped path of [`FpssCore::apply_pricing_update`].
+    /// `dsts` must be sorted and duplicate-free: the changed rows come out
+    /// in its order.
     ///
     /// This is the construction-phase hot path: honest nodes — and
     /// deviants declaring [`destination-scoped
@@ -372,31 +427,29 @@ impl FpssCore {
     /// rows it touched rather than the whole table. Strategies that
     /// transform tables or announcements keep the full recompute so their
     /// whole-table hooks observe unchanged inputs.
-    pub fn recompute_dsts(&mut self, dsts: &[NodeId], routing_changed: bool) -> TableDelta {
+    pub fn recompute_dsts(&mut self, dsts: &[NodeId]) -> TableDelta {
         let mut changed_routes = Vec::new();
-        if routing_changed {
-            for &dst in dsts {
-                // A full recompute only enumerates destinations it has a
-                // declared cost for (or that are direct neighbors); mirror
-                // that exactly or rows would appear early here.
-                if dst == self.me
-                    || (self.data1.declared(dst).is_none() && !self.neighbors.contains(&dst))
-                {
-                    continue;
+        for &dst in dsts {
+            // A full recompute only enumerates destinations it has a
+            // declared cost for (or that are direct neighbors); mirror
+            // that exactly or rows would appear early here.
+            if dst == self.me
+                || (self.data1.declared(dst).is_none() && !self.neighbors.contains(&dst))
+            {
+                continue;
+            }
+            match best_route_to(self.me, &self.neighbors, &self.data1, &self.view, dst) {
+                Some(path) => {
+                    if self.routes.path(dst) != Some(path.as_slice()) {
+                        changed_routes.push(RouteRow {
+                            dst,
+                            path: path.clone(),
+                        });
+                        self.routes.install(dst, path);
+                    }
                 }
-                match best_route_to(self.me, &self.neighbors, &self.data1, &self.view, dst) {
-                    Some(path) => {
-                        if self.routes.path(dst) != Some(path.as_slice()) {
-                            changed_routes.push(RouteRow {
-                                dst,
-                                path: path.clone(),
-                            });
-                            self.routes.install(dst, path);
-                        }
-                    }
-                    None => {
-                        self.routes.remove(dst);
-                    }
+                None => {
+                    self.routes.remove(dst);
                 }
             }
         }
@@ -670,14 +723,9 @@ impl PlainFpssNode {
             let Some(path) = self.core.routes().path(dst).map(<[NodeId]>::to_vec) else {
                 continue;
             };
-            let transits: Vec<NodeId> = if path.len() > 2 {
-                path[1..path.len() - 1].to_vec()
-            } else {
-                Vec::new()
-            };
             for _ in 0..packets {
                 *self.originated.entry(dst).or_insert(0) += 1;
-                for &k in &transits {
+                for &k in transits(&path) {
                     let price = self.core.prices().price(dst, k).unwrap_or(Money::ZERO);
                     self.ledger.accrue(k, price);
                 }

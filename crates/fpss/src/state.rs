@@ -317,6 +317,42 @@ impl PricingTable {
         }
     }
 
+    /// Writes (`Some`) or removes (`None`) the one entry for `(dst,
+    /// transit)` — the row-scoped counterpart of
+    /// [`PricingTable::replace_dst`] — appending what must be announced:
+    /// the row to `changed` if it differs from the stored entry, the key to
+    /// `retracted` if a stored entry was removed.
+    pub fn set_entry(
+        &mut self,
+        dst: NodeId,
+        transit: NodeId,
+        entry: Option<PriceEntry>,
+        changed: &mut Vec<PriceRow>,
+        retracted: &mut Vec<(NodeId, NodeId)>,
+    ) {
+        let Some(entry) = entry else {
+            if self.remove(dst, transit) {
+                retracted.push((dst, transit));
+            }
+            return;
+        };
+        let rows = self.rows.entry(dst).or_default();
+        let found = rows.binary_search_by_key(&transit, |(k, _)| *k);
+        if matches!(found, Ok(at) if rows[at].1 == entry) {
+            return;
+        }
+        changed.push(PriceRow {
+            dst,
+            transit,
+            price: entry.price,
+            tags: entry.tags.clone(),
+        });
+        match found {
+            Ok(at) => rows[at].1 = entry,
+            Err(at) => rows.insert(at, (transit, entry)),
+        }
+    }
+
     /// Replaces the whole table (the recompute functions build fresh
     /// tables). Returns `(changed rows, retracted keys)` — exactly what
     /// must be announced to neighbors, in key order: the
@@ -725,6 +761,35 @@ mod tests {
         assert!(changed.is_empty());
         assert_eq!(retracted.len(), 4);
         assert!(table.is_empty());
+        assert_eq!(table, PricingTable::new());
+    }
+
+    #[test]
+    fn data3_set_entry_announces_only_changes() {
+        let entry = |price: i64| PriceEntry {
+            price: Money::new(price),
+            tags: TagSet::single(n(5)),
+        };
+        let mut table = PricingTable::new();
+        let (mut changed, mut retracted) = (Vec::new(), Vec::new());
+        table.set_entry(n(9), n(3), Some(entry(3)), &mut changed, &mut retracted);
+        table.set_entry(n(9), n(1), Some(entry(1)), &mut changed, &mut retracted);
+        table.set_entry(n(9), n(3), Some(entry(3)), &mut changed, &mut retracted);
+        table.set_entry(n(9), n(3), Some(entry(4)), &mut changed, &mut retracted);
+        let keys: Vec<_> = changed.iter().map(|r| (r.transit, r.price)).collect();
+        let expected = [(n(3), 3), (n(1), 1), (n(3), 4)].map(|(k, p)| (k, Money::new(p)));
+        assert_eq!(keys, expected);
+        assert!(retracted.is_empty());
+        assert_eq!(table.price(n(9), n(3)), Some(Money::new(4)));
+        // Removing an absent entry announces nothing; removing the last
+        // entry of a destination leaves no empty list.
+        changed.clear();
+        table.set_entry(n(9), n(2), None, &mut changed, &mut retracted);
+        assert!(retracted.is_empty());
+        table.set_entry(n(9), n(1), None, &mut changed, &mut retracted);
+        table.set_entry(n(9), n(3), None, &mut changed, &mut retracted);
+        assert!(changed.is_empty());
+        assert_eq!(retracted, vec![(n(9), n(1)), (n(9), n(3))]);
         assert_eq!(table, PricingTable::new());
     }
 

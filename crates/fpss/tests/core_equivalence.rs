@@ -1,20 +1,27 @@
-//! Node-level equivalence of the destination-scoped recompute (CI's named
-//! "Node recompute equivalence" gate).
+//! Node-level equivalence of the scoped recompute (CI's named "Node
+//! recompute equivalence" gate).
 //!
 //! Two clones of one [`FpssCore`] receive the same random interleaving of
-//! declared costs, routing rows, pricing rows and price retractions. After
-//! every step one clone recomputes only the destinations the step
-//! invalidated ([`FpssCore::recompute_dsts`]) and the other recomputes
-//! everything ([`FpssCore::recompute`]). Their tables, digests and
-//! announcements — changed routing rows, changed pricing rows and
-//! retractions, in order — must be identical.
+//! declared costs, routing updates, pricing updates and price
+//! retractions. One clone takes each step through the handler entry
+//! points a faithful node calls — [`FpssCore::apply_cost_change`],
+//! [`FpssCore::apply_routing_update`] and
+//! [`FpssCore::apply_pricing_update`] under [`Faithful`] — which recompute
+//! only what the step invalidated: the affected destinations, or for a
+//! pricing update the changed `(dst, transit)` entries. The other clone
+//! learns the same inputs and recomputes everything
+//! ([`FpssCore::recompute`]). Their tables, digests and announcements —
+//! changed routing rows, changed pricing rows and retractions, in order —
+//! must be identical.
 //!
 //! The inputs are shaped to reach the representation edges: seven
 //! neighbors with near-equal costs, so pricing ties of five or more tags
 //! spill [`TagSet`](specfaith_fpss::msg::TagSet) to the heap, and
 //! destination ids at or above [`DENSE_ROUTE_SLOTS`], which the neighbor
-//! view keeps in its sparse fallback. A fixed-seed test asserts that both
-//! edges are reached.
+//! view keeps in its sparse fallback. A fixed-seed test asserts that these
+//! edges are reached, and that the row-scoped pricing path meets changed
+//! keys whose transit is off this node's route and retractions that
+//! remove a priced entry.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,6 +30,7 @@ use rand::{Rng, SeedableRng};
 use specfaith_core::id::NodeId;
 use specfaith_core::money::{Cost, Money};
 use specfaith_fpss::compute::DENSE_ROUTE_SLOTS;
+use specfaith_fpss::deviation::Faithful;
 use specfaith_fpss::msg::{PriceRow, RouteRow};
 use specfaith_fpss::node::{FpssCore, TableDelta};
 
@@ -44,6 +52,12 @@ fn universe() -> Vec<NodeId> {
         .collect()
 }
 
+/// A remote destination every neighbor reaches only through [`RELAY`], so
+/// the entry pricing `RELAY` toward it rests on advertised prices alone:
+/// retracting the last of them removes the entry.
+const FUNNEL: NodeId = NodeId::new(10);
+const RELAY: NodeId = NodeId::new(9);
+
 /// Destinations, weighted toward the remote and forged ids whose routes
 /// carry transits (and therefore prices).
 fn pick_dst(rng: &mut StdRng, universe: &[NodeId]) -> NodeId {
@@ -55,10 +69,13 @@ fn pick_dst(rng: &mut StdRng, universe: &[NodeId]) -> NodeId {
 }
 
 /// A route row from `from` toward `dst`: mostly direct or one hop, with
-/// distinct nodes, sometimes looping through this node or malformed.
+/// distinct nodes, sometimes looping through this node or malformed;
+/// always through [`RELAY`] toward [`FUNNEL`].
 fn route_row(rng: &mut StdRng, universe: &[NodeId], from: NodeId, dst: NodeId) -> RouteRow {
     let mut path = vec![from];
-    if from != dst {
+    if dst == FUNNEL {
+        path.extend([RELAY, FUNNEL]);
+    } else if from != dst {
         let hops = [0, 0, 0, 0, 1, 2][rng.gen_range(0..6)];
         for _ in 0..hops {
             let v = *universe.choose(rng).expect("non-empty universe");
@@ -74,12 +91,33 @@ fn route_row(rng: &mut StdRng, universe: &[NodeId], from: NodeId, dst: NodeId) -
     RouteRow { dst, path }
 }
 
+/// A price row from `from`: a weighted-random destination, any transit
+/// (often [`RELAY`] toward [`FUNNEL`]).
+fn price_row(rng: &mut StdRng, universe: &[NodeId], from: NodeId) -> PriceRow {
+    let dst = pick_dst(rng, universe);
+    let transit = if dst == FUNNEL && rng.gen_bool(0.5) {
+        RELAY
+    } else {
+        *universe.choose(rng).expect("universe")
+    };
+    PriceRow {
+        dst,
+        transit,
+        price: Money::new(rng.gen_range(-2..6)),
+        tags: [from].into_iter().collect(),
+    }
+}
+
 /// What the reference coverage test counts.
 #[derive(Default)]
 struct Coverage {
     spilled_entries: usize,
     forged_price_rows: usize,
     sparse_retractions: usize,
+    /// Changed view keys whose transit is off this node's route.
+    off_route_keys: usize,
+    /// Pricing updates whose retractions removed a priced entry.
+    removing_retractions: usize,
 }
 
 /// Drives both clones through `STEPS` random steps from `seed`, checking
@@ -98,6 +136,13 @@ fn run_case(seed: u64) -> Result<Coverage, String> {
     for step in 0..STEPS {
         let from = *neighbors.choose(&mut rng).expect("neighbors");
         let kind = rng.gen_range(0..10);
+        // Counts the pricing keys `full` saw change whose transit is off
+        // the route (pricing updates leave routes as they were).
+        let mut off_route = |full: &FpssCore, dst: NodeId, transit: NodeId| {
+            let path = full.routes().path(dst).unwrap_or_default();
+            let on_route = path.len() > 2 && path[1..path.len() - 1].contains(&transit);
+            coverage.off_route_keys += usize::from(!on_route);
+        };
         let delta: TableDelta = match kind {
             // Declared costs: first-write-wins learns, and occasionally
             // a streaming overwrite, over near-equal values.
@@ -113,55 +158,85 @@ fn run_case(seed: u64) -> Result<Coverage, String> {
                     scoped.learn_cost(origin, cost)
                 };
                 if changed {
-                    let dsts = scoped.dsts_affected_by_cost(origin);
-                    scoped.recompute_dsts(&dsts, true)
+                    scoped.apply_cost_change(origin, &mut Faithful)
                 } else {
                     TableDelta::default()
                 }
             }
+            // Routing updates of one to three rows.
             2..=5 => {
-                let dst = pick_dst(&mut rng, &universe);
-                let row = route_row(&mut rng, &universe, from, dst);
-                full.learn_route(from, &row);
-                if scoped.learn_route(from, &row) {
-                    scoped.recompute_dsts(&[dst], true)
-                } else {
-                    TableDelta::default()
+                let rows: Vec<RouteRow> = (0..rng.gen_range(1..=3))
+                    .map(|_| {
+                        let dst = pick_dst(&mut rng, &universe);
+                        route_row(&mut rng, &universe, from, dst)
+                    })
+                    .collect();
+                for row in &rows {
+                    full.learn_route(from, row);
                 }
+                scoped
+                    .apply_routing_update(from, &rows, &mut Faithful)
+                    .unwrap_or_default()
             }
+            // Pricing updates of one to three rows, sometimes with a
+            // retraction of a stored row riding along.
             6..=8 => {
-                let dst = pick_dst(&mut rng, &universe);
-                let row = PriceRow {
-                    dst,
-                    transit: *universe.choose(&mut rng).expect("universe"),
-                    price: Money::new(rng.gen_range(-2..6)),
-                    tags: [from].into_iter().collect(),
-                };
-                advertised.push((from, dst, row.transit));
-                full.learn_price(from, &row);
-                if scoped.learn_price(from, &row) {
-                    scoped.recompute_dsts(&[dst], false)
-                } else {
-                    TableDelta::default()
+                let rows: Vec<PriceRow> = (0..rng.gen_range(1..=3))
+                    .map(|_| price_row(&mut rng, &universe, from))
+                    .collect();
+                let retractions: Vec<(NodeId, NodeId)> = advertised
+                    .iter()
+                    .filter(|&&(b, _, _)| b == from)
+                    .map(|&(_, dst, transit)| (dst, transit))
+                    .take(usize::from(rng.gen_bool(0.3)))
+                    .collect();
+                for row in &rows {
+                    advertised.push((from, row.dst, row.transit));
+                    if full.learn_price(from, row) {
+                        off_route(&full, row.dst, row.transit);
+                    }
                 }
+                for &(dst, transit) in &retractions {
+                    if full.learn_price_retraction(from, dst, transit) {
+                        off_route(&full, dst, transit);
+                    }
+                }
+                let delta = scoped
+                    .apply_pricing_update(from, &rows, &retractions, &mut Faithful)
+                    .unwrap_or_default();
+                coverage.removing_retractions += usize::from(!delta.2.is_empty());
+                delta
             }
             _ => {
-                let (from, dst, transit) = match advertised.choose(&mut rng) {
+                // Half the time a stored price for RELAY toward FUNNEL,
+                // whose retraction may leave that entry unsupported.
+                let funnel: Vec<_> = advertised
+                    .iter()
+                    .filter(|&&(_, dst, transit)| (dst, transit) == (FUNNEL, RELAY))
+                    .collect();
+                let stored = if rng.gen_bool(0.5) && !funnel.is_empty() {
+                    funnel.choose(&mut rng).copied()
+                } else {
+                    advertised.choose(&mut rng)
+                };
+                let (from, dst, transit) = match stored {
                     Some(&stored) if rng.gen_bool(0.8) => stored,
                     _ => {
                         let dst = pick_dst(&mut rng, &universe);
                         (from, dst, *universe.choose(&mut rng).expect("universe"))
                     }
                 };
-                full.learn_price_retraction(from, dst, transit);
-                if scoped.learn_price_retraction(from, dst, transit) {
+                if full.learn_price_retraction(from, dst, transit) {
+                    off_route(&full, dst, transit);
                     if dst.index() >= DENSE_ROUTE_SLOTS {
                         coverage.sparse_retractions += 1;
                     }
-                    scoped.recompute_dsts(&[dst], false)
-                } else {
-                    TableDelta::default()
                 }
+                let delta = scoped
+                    .apply_pricing_update(from, &[], &[(dst, transit)], &mut Faithful)
+                    .unwrap_or_default();
+                coverage.removing_retractions += usize::from(!delta.2.is_empty());
+                delta
             }
         };
         let expected = full.recompute();
@@ -192,7 +267,7 @@ fn run_case(seed: u64) -> Result<Coverage, String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random interleavings: the scoped recompute announces and installs
+    /// Random interleavings: the scoped handlers announce and install
     /// exactly what the full recompute does.
     #[test]
     fn scoped_recompute_matches_full_recompute(seed in any::<u64>()) {
@@ -202,7 +277,8 @@ proptest! {
 
 /// Fixed seeds, so the generator's reach is pinned: both clones agree, and
 /// the steps do reach spilled tag sets, forged destinations in the
-/// pricing table, and price retractions on the sparse fallback.
+/// pricing table, price retractions on the sparse fallback, changed
+/// pricing keys off the route and retractions that remove an entry.
 #[test]
 fn equivalence_reaches_spilled_tags_and_forged_destinations() {
     let mut total = Coverage::default();
@@ -211,8 +287,15 @@ fn equivalence_reaches_spilled_tags_and_forged_destinations() {
         total.spilled_entries += coverage.spilled_entries;
         total.forged_price_rows += coverage.forged_price_rows;
         total.sparse_retractions += coverage.sparse_retractions;
+        total.off_route_keys += coverage.off_route_keys;
+        total.removing_retractions += coverage.removing_retractions;
     }
     assert!(total.spilled_entries > 0, "no tie of five or more tags");
     assert!(total.forged_price_rows > 0, "no priced forged destination");
     assert!(total.sparse_retractions > 0, "no sparse retraction");
+    assert!(total.off_route_keys > 0, "no changed key off the route");
+    assert!(
+        total.removing_retractions > 0,
+        "no retraction removed an entry"
+    );
 }

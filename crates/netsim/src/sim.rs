@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use specfaith_core::id::NodeId;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
 
 /// A protocol node.
@@ -162,6 +162,93 @@ impl<M> Ord for Event<M> {
     }
 }
 
+/// The engine's event queue: a min-queue on `(at, seq)`.
+///
+/// Two lanes hold the events: a FIFO lane whose events were pushed in
+/// non-decreasing `(at, seq)` order, and a binary heap for the rest. A
+/// push joins the lane when it does not sort below the lane's tail, and
+/// the heap otherwise; a pop takes the smaller of the two heads. Each lane
+/// yields its events smallest first, so pops follow exactly the order a
+/// single heap would give. Under fixed latency a delivery is scheduled a
+/// constant delay after a clock that never goes back, and sequence numbers
+/// only grow, so almost every `Deliver` takes the lane at O(1) instead of
+/// a heap sift.
+///
+/// The lane is a queue of chunks of at most [`LANE_CHUNK`] events, not one
+/// ring buffer: a ring's pushes sweep its whole capacity, which can reach
+/// nearly twice the peak queue depth, so its resident memory would outgrow
+/// the heap's. Chunks hold what is queued plus one spare.
+struct EventQueue<M> {
+    lane: VecDeque<VecDeque<Event<M>>>,
+    /// A drained chunk kept for the next one the lane needs.
+    spare: Option<VecDeque<Event<M>>>,
+    /// Events in the lane.
+    lane_len: usize,
+    heap: BinaryHeap<Reverse<Event<M>>>,
+}
+
+/// Events per lane chunk (64 KiB of the FPSS engine's 64-byte events).
+const LANE_CHUNK: usize = 1024;
+
+impl<M> EventQueue<M> {
+    fn new() -> Self {
+        EventQueue {
+            lane: VecDeque::new(),
+            spare: None,
+            lane_len: 0,
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    fn push(&mut self, event: Event<M>) {
+        let tail = self.lane.back().and_then(VecDeque::back);
+        if tail.is_some_and(|tail| event < *tail) {
+            self.heap.push(Reverse(event));
+            return;
+        }
+        self.lane_len += 1;
+        match self.lane.back_mut() {
+            Some(chunk) if chunk.len() < LANE_CHUNK => chunk.push_back(event),
+            _ => {
+                let mut chunk = self
+                    .spare
+                    .take()
+                    .unwrap_or_else(|| VecDeque::with_capacity(LANE_CHUNK));
+                chunk.push_back(event);
+                self.lane.push_back(chunk);
+            }
+        }
+    }
+
+    fn pop(&mut self) -> Option<Event<M>> {
+        let lane_first = match (
+            self.lane.front().and_then(VecDeque::front),
+            self.heap.peek(),
+        ) {
+            (Some(head), Some(Reverse(top))) => head <= top,
+            (head, _) => head.is_some(),
+        };
+        if !lane_first {
+            return self.heap.pop().map(|Reverse(event)| event);
+        }
+        let chunk = self.lane.front_mut()?;
+        let event = chunk.pop_front();
+        if chunk.is_empty() {
+            self.spare = self.lane.pop_front();
+        }
+        self.lane_len -= 1;
+        event
+    }
+
+    fn len(&self) -> usize {
+        self.lane_len + self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// Per-run message accounting.
 #[derive(Clone, Debug, Default)]
 pub struct NetStats {
@@ -233,7 +320,7 @@ pub struct Network<A: Actor, L> {
     /// bookkeeping (the default path is exactly the pre-dynamics engine).
     dynamics_active: bool,
     rng: StdRng,
-    queue: BinaryHeap<Reverse<Event<A::Msg>>>,
+    queue: EventQueue<A::Msg>,
     /// Transfers whose serialization is in flight, keyed by transfer id.
     pending: BTreeMap<u64, PendingTransfer<A::Msg>>,
     /// Hot per-transfer scheduling state, indexed by transfer id. Grows
@@ -282,7 +369,7 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
             dynamics: DynamicsState::new(&Dynamics::default(), n),
             dynamics_active: false,
             rng: StdRng::seed_from_u64(seed),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             pending: BTreeMap::new(),
             times: Vec::new(),
             next_transfer: 0,
@@ -364,11 +451,11 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
     /// has converged).
     pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) {
         self.seq += 1;
-        self.queue.push(Reverse(Event {
+        self.queue.push(Event {
             at: self.now + delay,
             seq: self.seq,
             kind: EventKind::Timer { node, tag },
-        }));
+        });
     }
 
     /// Current virtual time.
@@ -417,11 +504,11 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
             match outcome.verdict {
                 SendVerdict::Deliver { at } => {
                     self.seq += 1;
-                    self.queue.push(Reverse(Event {
+                    self.queue.push(Event {
                         at,
                         seq: self.seq,
                         kind: EventKind::Deliver { from, to, msg },
-                    }));
+                    });
                 }
                 SendVerdict::Transfer { completes_at } => {
                     self.seq += 1;
@@ -434,11 +521,11 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
                         tie_seq: self.seq,
                         scheduled: completes_at,
                     };
-                    self.queue.push(Reverse(Event {
+                    self.queue.push(Event {
                         at: completes_at,
                         seq: self.seq,
                         kind: EventKind::Complete { id },
-                    }));
+                    });
                 }
                 SendVerdict::Drop => {
                     self.stats.msgs_dropped += 1;
@@ -448,11 +535,11 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
         }
         for (delay, tag) in timers {
             self.seq += 1;
-            self.queue.push(Reverse(Event {
+            self.queue.push(Event {
                 at: self.now + delay,
                 seq: self.seq,
                 kind: EventKind::Timer { node: from, tag },
-            }));
+            });
         }
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len() as u64);
     }
@@ -476,11 +563,11 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
             times.tie_seq = self.seq;
             if at < times.scheduled {
                 times.scheduled = at;
-                self.queue.push(Reverse(Event {
+                self.queue.push(Event {
                     at,
                     seq: self.seq,
                     kind: EventKind::Complete { id },
-                }));
+                });
             }
         }
     }
@@ -520,7 +607,7 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
         let mut quiescence_rounds = 0u64;
         let mut truncated = false;
         'outer: loop {
-            while let Some(Reverse(event)) = self.queue.pop() {
+            while let Some(event) = self.queue.pop() {
                 if processed >= self.max_events {
                     truncated = true;
                     break 'outer;
@@ -543,11 +630,11 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
                         );
                         let (at, seq) = (times.target, times.tie_seq);
                         times.scheduled = at;
-                        self.queue.push(Reverse(Event {
+                        self.queue.push(Event {
                             at,
                             seq,
                             kind: EventKind::Complete { id },
-                        }));
+                        });
                         continue;
                     }
                 }
@@ -575,7 +662,7 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
                         let done = self.model.on_serialized(TransferId(id), self.now);
                         let transfer = self.pending.remove(&id).expect("checked live above");
                         self.seq += 1;
-                        self.queue.push(Reverse(Event {
+                        self.queue.push(Event {
                             at: done.deliver_at,
                             seq: self.seq,
                             kind: EventKind::Deliver {
@@ -583,7 +670,7 @@ impl<A: Actor, L: LatencyModel> Network<A, L> {
                                 to: transfer.to,
                                 msg: transfer.msg,
                             },
-                        }));
+                        });
                         self.apply_reschedules(done.reschedules);
                         self.stats.max_queue_depth =
                             self.stats.max_queue_depth.max(self.queue.len() as u64);
@@ -1157,6 +1244,56 @@ mod tests {
         match net.node(n(1)) {
             Node::Collect(c) => assert_eq!(c.0, vec![0, 1, 2]),
             Node::Seq(_) => panic!("node 1 collects"),
+        }
+    }
+
+    /// The two-lane queue pops in exactly the `(at, seq)` order of one
+    /// binary heap, under the engine's push pattern: each pop advances the
+    /// clock and schedules events a delay ahead of it. Delays mix the link
+    /// delay (many equal timestamps), timers shorter than it, jittered
+    /// delays, and re-pushes of an already-drawn `(at, seq)` (the lazy
+    /// completions).
+    #[test]
+    fn event_queue_pops_in_heap_order() {
+        use rand::Rng;
+        for seed in 0..32 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut queue = EventQueue::new();
+            let mut heap = BinaryHeap::new();
+            let (mut now, mut seq, mut pops) = (0u64, 0u64, 0usize);
+            let push = |queue: &mut EventQueue<()>, heap: &mut BinaryHeap<_>, at, seq| {
+                queue.push(Event {
+                    at: SimTime::from_micros(at),
+                    seq,
+                    kind: EventKind::Timer { node: n(0), tag: 0 },
+                });
+                heap.push(Reverse((at, seq)));
+            };
+            loop {
+                if pops < 400 {
+                    for _ in 0..rng.gen_range(1..4) {
+                        let delay = match rng.gen_range(0..4) {
+                            0 | 1 => 10,
+                            2 => rng.gen_range(0..10),
+                            _ => rng.gen_range(10..40),
+                        };
+                        seq += 1;
+                        push(&mut queue, &mut heap, now + delay, seq);
+                    }
+                    if seq > 0 && rng.gen_bool(0.05) {
+                        push(&mut queue, &mut heap, now + 10, seq);
+                    }
+                }
+                assert_eq!(queue.len(), heap.len(), "seed {seed}");
+                let (Some(event), Some(Reverse(expected))) = (queue.pop(), heap.pop()) else {
+                    assert!(queue.is_empty() && heap.is_empty(), "seed {seed}");
+                    break;
+                };
+                assert_eq!((event.at.micros(), event.seq), expected, "seed {seed}");
+                now = expected.0;
+                pops += 1;
+            }
+            assert!(pops >= 400, "seed {seed}: the schedule drained early");
         }
     }
 }
